@@ -33,7 +33,7 @@ if os.path.join(_ROOT, "src") not in sys.path:
 
 from repro.analyze import analyze_design  # noqa: E402
 from repro.core import CommandType  # noqa: E402
-from repro.flow import PciPlatformConfig, build_pci_platform  # noqa: E402
+from repro.flow import PciPlatformConfig, build_platform  # noqa: E402
 from repro.synthesis.tool import set_synthesis_sink  # noqa: E402
 
 BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -54,8 +54,9 @@ def _build_synthesized_platform():
         lambda sim, result: captured.append((sim, result))
     )
     try:
-        build_pci_platform(
-            [COMMANDS], PciPlatformConfig(wait_states=1), synthesize=True
+        build_platform(
+            [COMMANDS], PciPlatformConfig(wait_states=1),
+            bus="pci", synthesize=True
         )
     finally:
         set_synthesis_sink(previous)

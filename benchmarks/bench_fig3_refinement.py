@@ -12,7 +12,7 @@ from repro.core import compare_refinement, generate_workload
 from repro.flow import (
     PciPlatformConfig,
     build_functional_platform,
-    build_pci_platform,
+    build_platform,
 )
 from repro.kernel import MS
 
@@ -35,7 +35,7 @@ def test_fig3_pin_accurate_platform(benchmark):
     """Simulation cost of the implementation model (the slow side)."""
 
     def run():
-        return build_pci_platform([WORKLOAD], CONFIG).run(100 * MS)
+        return build_platform([WORKLOAD], CONFIG, bus="pci").run(100 * MS)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.transactions == 40
@@ -47,7 +47,7 @@ def test_fig3_refinement_comparison(benchmark):
     def run():
         return compare_refinement(
             lambda: build_functional_platform([WORKLOAD], CONFIG).handle,
-            lambda: build_pci_platform([WORKLOAD], CONFIG).handle,
+            lambda: build_platform([WORKLOAD], CONFIG, bus="pci").handle,
             max_time=100 * MS,
         )
 

@@ -40,7 +40,7 @@ if os.path.join(_ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.core import generate_workload  # noqa: E402
-from repro.flow import PciPlatformConfig, build_pci_platform  # noqa: E402
+from repro.flow import PciPlatformConfig, build_platform  # noqa: E402
 from repro.kernel import MS  # noqa: E402
 from repro.resilience import ResilienceConfig  # noqa: E402
 
@@ -62,7 +62,7 @@ def _platform_run(armed: bool) -> "tuple[int, float]":
     config = PciPlatformConfig(
         resilience=ResilienceConfig.default(SEED) if armed else None,
     )
-    bundle = build_pci_platform([_workload()], config, synthesize=True)
+    bundle = build_platform([_workload()], config, bus="pci", synthesize=True)
 
     calls = 0
 

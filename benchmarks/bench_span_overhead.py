@@ -32,7 +32,7 @@ if os.path.join(_ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.core import generate_workload  # noqa: E402
-from repro.flow import build_pci_platform  # noqa: E402
+from repro.flow import build_platform  # noqa: E402
 from repro.kernel import MS  # noqa: E402
 from repro.trace import SpanTracer, attribute  # noqa: E402
 
@@ -54,7 +54,7 @@ def _workload():
 
 def _platform_run(traced: bool) -> float:
     """One synthesized-PCI run; returns wall seconds of the simulation."""
-    bundle = build_pci_platform([_workload()], synthesize=True)
+    bundle = build_platform([_workload()], bus="pci", synthesize=True)
     tracer = None
     if traced:
         tracer = SpanTracer().attach(bundle.handle.sim.probes)

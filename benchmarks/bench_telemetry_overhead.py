@@ -34,7 +34,7 @@ if os.path.join(_ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.core import generate_workload  # noqa: E402
-from repro.flow import build_pci_platform  # noqa: E402
+from repro.flow import build_platform  # noqa: E402
 from repro.kernel import MS  # noqa: E402
 from repro.telemetry.recorder import FlightRecorder  # noqa: E402
 from repro.telemetry.scorecard import ScorecardProbe  # noqa: E402
@@ -57,7 +57,7 @@ def _workload():
 
 def _platform_run(telemetry: bool) -> float:
     """One synthesized-PCI run; returns wall seconds of the simulation."""
-    bundle = build_pci_platform([_workload()], synthesize=True)
+    bundle = build_platform([_workload()], bus="pci", synthesize=True)
     probe = None
     if telemetry:
         probes = bundle.handle.sim.probes

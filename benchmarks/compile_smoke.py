@@ -25,7 +25,7 @@ if os.path.join(_ROOT, "src") not in sys.path:
 
 from repro.compile import CompiledChannel  # noqa: E402
 from repro.core import CommandType  # noqa: E402
-from repro.flow import PciPlatformConfig, build_pci_platform  # noqa: E402
+from repro.flow import PciPlatformConfig, build_platform  # noqa: E402
 from repro.kernel import MS  # noqa: E402
 from repro.trace import VcdTracer  # noqa: E402
 from repro.verify.consistency import (  # noqa: E402
@@ -43,9 +43,9 @@ COMMANDS = [
 
 
 def _run(backend: str, vcd_path: "str | None" = None):
-    bundle = build_pci_platform(
+    bundle = build_platform(
         [COMMANDS],
-        PciPlatformConfig(wait_states=1, backend=backend),
+        PciPlatformConfig(wait_states=1, backend=backend), bus="pci",
         synthesize=True,
     )
     sim = bundle.handle.sim

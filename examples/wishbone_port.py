@@ -11,11 +11,7 @@ Run:  python examples/wishbone_port.py
 """
 
 from repro.core import default_library, generate_workload
-from repro.flow import (
-    build_functional_platform,
-    build_pci_platform,
-    build_wishbone_platform,
-)
+from repro.flow import build_functional_platform, build_platform
 from repro.kernel import MS, NS
 
 
@@ -31,8 +27,8 @@ def main():
                                  max_burst=4)
     runs = {
         "functional": build_functional_platform([workload]).run(200 * MS),
-        "pci": build_pci_platform([workload]).run(200 * MS),
-        "wishbone": build_wishbone_platform([workload]).run(200 * MS),
+        "pci": build_platform([workload], bus="pci").run(200 * MS),
+        "wishbone": build_platform([workload], bus="wishbone").run(200 * MS),
     }
 
     reference = runs["functional"].traces

@@ -55,7 +55,6 @@ from .flow import (
     DesignFlow,
     PciPlatformConfig,
     build_functional_platform,
-    build_pci_platform,
     build_platform,
     standard_flow_builders,
 )
@@ -157,8 +156,9 @@ def _cmd_waveforms(args: argparse.Namespace) -> int:
     if _effective_bus(args) != "pci":
         print("waveforms: the Figure 4 dump is PCI-specific; drop --bus")
         return 2
-    bundle = build_pci_platform(
-        [commands], _platform_config(args, wait_states=1), synthesize=True
+    bundle = build_platform(
+        [commands], _platform_config(args, wait_states=1), bus="pci",
+        synthesize=True,
     )
     sim = bundle.handle.sim
     capture = WaveformCapture()

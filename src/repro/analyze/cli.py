@@ -14,10 +14,10 @@ is non-zero when any error-severity finding survives.
 from __future__ import annotations
 
 import argparse
-import runpy
 import sys
 import typing
 
+from .._script import add_script_arguments, captured_synthesis, run_script
 from ..lint.engine import (
     LintConfig,
     LintRuleError,
@@ -25,25 +25,11 @@ from ..lint.engine import (
     validate_suppressions,
 )
 from ..lint.sarif import render_sarif
-from ..synthesis.tool import set_synthesis_sink
 from .passes import AnalysisReport, analyze_design
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..kernel.simulator import Simulator
-    from ..synthesis.tool import SynthesisResult
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "script",
-        help="Python script to execute under the analyzer "
-             "(e.g. examples/pci_system.py)",
-    )
-    parser.add_argument(
-        "script_args",
-        nargs=argparse.REMAINDER,
-        help="arguments passed through to the script",
-    )
+    add_script_arguments(parser, "analyze")
     parser.add_argument(
         "--strict", action="store_true",
         help="treat warnings as errors",
@@ -65,10 +51,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--schedule", action="store_true",
         help="dump the levelized evaluation schedule of every netlist",
     )
-    parser.add_argument(
-        "--quiet-script", action="store_true",
-        help="suppress the analyzed script's stdout",
-    )
 
 
 def _split_suppressions(entries: typing.Iterable[str]) -> list[str]:
@@ -76,21 +58,6 @@ def _split_suppressions(entries: typing.Iterable[str]) -> list[str]:
     for entry in entries:
         result.extend(part for part in entry.split(",") if part.strip())
     return result
-
-
-def _run_script(script: str, script_args: list[str], quiet: bool) -> None:
-    saved_argv = sys.argv
-    sys.argv = [script, *script_args]
-    saved_stdout = sys.stdout
-    if quiet:
-        import io
-
-        sys.stdout = io.StringIO()
-    try:
-        runpy.run_path(script, run_name="__main__")
-    finally:
-        sys.stdout = saved_stdout
-        sys.argv = saved_argv
 
 
 def _render_table(reports: list[AnalysisReport], show_schedule: bool) -> str:
@@ -135,14 +102,10 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {exc}")
         return 2
 
-    captured: "list[tuple[Simulator, SynthesisResult]]" = []
-    previous = set_synthesis_sink(
-        lambda sim, result: captured.append((sim, result))
-    )
-    try:
-        _run_script(args.script, args.script_args, args.quiet_script)
-    finally:
-        set_synthesis_sink(previous)
+    with captured_synthesis() as captured:
+        status = run_script(args.script, args.script_args, args.quiet_script)
+    if status:
+        return status
 
     if not captured:
         print(

@@ -4,8 +4,7 @@ Every platform hosts the same IPs (a memory and a register-block
 peripheral) behind the same address map, and the same applications —
 only the bus interface element differs, which is exactly the paper's
 refinement claim. Examples, tests and benches build their systems
-through :func:`build_platform` (or the per-family wrappers) instead of
-hand-wiring testbenches.
+through :func:`build_platform` instead of hand-wiring testbenches.
 
 Address map::
 
@@ -481,62 +480,6 @@ def build_functional_platform(
 ) -> PlatformBundle:
     """The high-level executable model: TLM interface, functional IPs."""
     return build_platform(workloads, config, bus="functional", label=label)
-
-
-def build_pci_platform(
-    workloads: typing.Sequence[typing.Sequence[CommandType]],
-    config: PciPlatformConfig | None = None,
-    synthesize: bool = False,
-    label: str | None = None,
-    synthesis_config: object | None = None,
-) -> PlatformBundle:
-    """The implementation model: pin-accurate PCI interface + targets."""
-    return build_platform(
-        workloads, config, bus="pci", synthesize=synthesize, label=label,
-        synthesis_config=synthesis_config,
-    )
-
-
-def build_wishbone_platform(
-    workloads: typing.Sequence[typing.Sequence[CommandType]],
-    config: PciPlatformConfig | None = None,
-    synthesize: bool = False,
-    label: str | None = None,
-    synthesis_config: object | None = None,
-) -> PlatformBundle:
-    """The same system behind the library's Wishbone interface element."""
-    return build_platform(
-        workloads, config, bus="wishbone", synthesize=synthesize, label=label,
-        synthesis_config=synthesis_config,
-    )
-
-
-def build_axi4lite_platform(
-    workloads: typing.Sequence[typing.Sequence[CommandType]],
-    config: PciPlatformConfig | None = None,
-    synthesize: bool = False,
-    label: str | None = None,
-    synthesis_config: object | None = None,
-) -> PlatformBundle:
-    """The same system behind the library's AXI4-Lite interface element."""
-    return build_platform(
-        workloads, config, bus="axi4lite", synthesize=synthesize, label=label,
-        synthesis_config=synthesis_config,
-    )
-
-
-def build_tlmgp_platform(
-    workloads: typing.Sequence[typing.Sequence[CommandType]],
-    config: PciPlatformConfig | None = None,
-    synthesize: bool = False,
-    label: str | None = None,
-    synthesis_config: object | None = None,
-) -> PlatformBundle:
-    """The same system behind the generic-payload interface element."""
-    return build_platform(
-        workloads, config, bus="tlmgp", synthesize=synthesize, label=label,
-        synthesis_config=synthesis_config,
-    )
 
 
 def standard_flow_builders(

@@ -26,7 +26,7 @@ Typical use::
 or, from the command line, ``python -m repro profile <script.py>``.
 """
 
-from .metrics import Counter, DetectionLog, Histogram, MetricsCollector
+from .metrics import Counter, DetectionLog, MetricsCollector
 from .probes import (
     DELTA_BEGIN,
     DELTA_END,
@@ -61,7 +61,6 @@ __all__ = [
     "EVENT_NOTIFY",
     "FAULT_ACTIVATE",
     "FLOW_STAGE",
-    "Histogram",
     "METHOD_CALL",
     "METHOD_COMPLETE",
     "METHOD_GRANT",

@@ -6,18 +6,17 @@ channel method and per transaction source — the raw material for the
 ``python -m repro profile`` tables and for regression assertions in
 tests and benchmarks.
 
-:class:`Histogram` keeps power-of-two buckets, so adding a sample is two
-integer ops and histograms over femtosecond quantities never allocate
-per-sample storage. Quantile queries delegate to the shared kernel in
-:mod:`repro.telemetry.digest`, so a p95 printed by the profiler tables
-and a p95 on a communication scorecard always mean the same thing.
+Time distributions are :class:`~repro.telemetry.digest.LatencyDigest`
+power-of-two digests, the same type the communication scorecards use,
+so a p95 printed by the profiler tables and a p95 on a scorecard always
+mean the same thing.
 """
 
 from __future__ import annotations
 
 import typing
 
-from ..telemetry.digest import quantile_from_pow2_buckets
+from ..telemetry.digest import LatencyDigest
 from .probes import (
     DELTA_BEGIN,
     DETECTION,
@@ -33,7 +32,8 @@ from .probes import (
     SIGNAL_COMMIT,
     TRANSACTION_BEGIN,
     TRANSACTION_END,
-    ProbeBus,
+    ProbeSubscriber,
+    txn_key,
 )
 
 
@@ -61,72 +61,6 @@ class Counter:
         return f"Counter(total={self.total}, labels={len(self.counts)})"
 
 
-class Histogram:
-    """Power-of-two bucketed histogram of non-negative integer samples.
-
-    Bucket *i* holds samples whose bit length is *i* (i.e. values in
-    ``[2**(i-1), 2**i)``; bucket 0 holds zeros). Exact count/total/
-    min/max are tracked alongside, so means are exact and quantiles are
-    bucket-resolution approximations.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0
-        self.min: int | None = None
-        self.max: int | None = None
-        self._buckets: dict[int, int] = {}
-
-    def add(self, value: int) -> None:
-        value = int(value)
-        if value < 0:
-            value = 0
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        bucket = value.bit_length()
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> int:
-        """Approximate *q*-quantile (upper bound of the matching bucket)."""
-        return quantile_from_pow2_buckets(
-            self._buckets, self.count, self.max, q
-        )
-
-    def buckets(self) -> list[tuple[int, int]]:
-        """``(upper_bound, count)`` pairs in ascending bucket order."""
-        return [
-            ((1 << bucket) - 1 if bucket else 0, count)
-            for bucket, count in sorted(self._buckets.items())
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.quantile(0.5),
-            "p90": self.quantile(0.9),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"Histogram(n={self.count}, mean={self.mean:.1f}, "
-            f"max={self.max})"
-        )
-
-
 class MethodMetrics:
     """Per guarded-method traffic record (one channel + method name)."""
 
@@ -138,11 +72,11 @@ class MethodMetrics:
         self.grants = 0
         self.completions = 0
         #: Arrival -> grant femtoseconds.
-        self.wait_times = Histogram()
+        self.wait_times = LatencyDigest()
         #: Grant -> completion femtoseconds.
-        self.service_times = Histogram()
+        self.service_times = LatencyDigest()
         #: Arrival -> completion femtoseconds.
-        self.total_times = Histogram()
+        self.total_times = LatencyDigest()
 
     @property
     def key(self) -> str:
@@ -162,7 +96,7 @@ class MethodMetrics:
         }
 
 
-class DetectionLog:
+class DetectionLog(ProbeSubscriber):
     """Bus subscriber that collects detection records in firing order.
 
     The fault-injection classifier attaches one of these to a run's
@@ -170,22 +104,13 @@ class DetectionLog:
     over the same instrumentation plane as every other observation.
     """
 
+    _SUBSCRIPTIONS = ((DETECTION, "append"),)
+
     def __init__(self) -> None:
         self.records: list = []
-        self._bus: ProbeBus | None = None
 
     def append(self, record: object) -> None:
         self.records.append(record)
-
-    def attach(self, bus: ProbeBus) -> "DetectionLog":
-        bus.subscribe(DETECTION, self.append)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None:
-            self._bus.unsubscribe(DETECTION, self.append)
-            self._bus = None
 
     def clear(self) -> None:
         self.records.clear()
@@ -200,8 +125,8 @@ class DetectionLog:
         return bool(self.records)
 
 
-class MetricsCollector:
-    """Counters + histograms for everything the probe bus publishes."""
+class MetricsCollector(ProbeSubscriber):
+    """Counters + digests for everything the probe bus publishes."""
 
     def __init__(self) -> None:
         self.deltas = 0
@@ -212,12 +137,11 @@ class MetricsCollector:
         self.guard_blocks = Counter()
         self.transactions = Counter()
         #: Transaction durations (fs) per source path.
-        self.transaction_times: dict[str, Histogram] = {}
+        self.transaction_times: dict[str, LatencyDigest] = {}
         self.fault_activations = Counter()
         self.detections = 0
         self.flow_stages: list[tuple[str, str, float]] = []
         self._open_transactions: dict[tuple[str, object], int] = {}
-        self._bus: ProbeBus | None = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -237,19 +161,6 @@ class MetricsCollector:
         (DETECTION, "_on_detection"),
         (FLOW_STAGE, "_on_flow_stage"),
     )
-
-    def attach(self, bus: ProbeBus) -> "MetricsCollector":
-        for kind, handler in self._SUBSCRIPTIONS:
-            bus.subscribe(kind, getattr(self, handler))
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind, handler in self._SUBSCRIPTIONS:
-            self._bus.unsubscribe(kind, getattr(self, handler))
-        self._bus = None
 
     # -- handlers ------------------------------------------------------------
 
@@ -307,24 +218,17 @@ class MetricsCollector:
         if arrival is not None:
             record.total_times.add(complete - arrival)
 
-    @staticmethod
-    def _txn_key(source: str, payload: object) -> tuple[str, object]:
-        # Prefer the stable txn_id stamped on transaction payloads; fall
-        # back to object identity for payloads that predate it.
-        txn_id = getattr(payload, "txn_id", None)
-        return (source, txn_id if txn_id is not None else id(payload))
-
     def _on_transaction_begin(self, time: int, source: str, payload: object) -> None:
-        self._open_transactions[self._txn_key(source, payload)] = time
+        self._open_transactions[txn_key(source, payload)] = time
 
     def _on_transaction_end(self, time: int, source: str, payload: object) -> None:
         self.transactions.add(source)
-        begin = self._open_transactions.pop(self._txn_key(source, payload), None)
+        begin = self._open_transactions.pop(txn_key(source, payload), None)
         if begin is not None:
-            histogram = self.transaction_times.get(source)
-            if histogram is None:
-                histogram = self.transaction_times[source] = Histogram()
-            histogram.add(time - begin)
+            digest = self.transaction_times.get(source)
+            if digest is None:
+                digest = self.transaction_times[source] = LatencyDigest()
+            digest.add(time - begin)
 
     def _on_fault_activate(self, time: int, fault: object) -> None:
         self.fault_activations.add(getattr(fault, "kind", repr(fault)))
@@ -354,8 +258,8 @@ class MetricsCollector:
             "guard_blocks": dict(self.guard_blocks.counts),
             "transactions": dict(self.transactions.counts),
             "transaction_times": {
-                source: histogram.to_dict()
-                for source, histogram in sorted(self.transaction_times.items())
+                source: digest.to_dict()
+                for source, digest in sorted(self.transaction_times.items())
             },
             "fault_activations": dict(self.fault_activations.counts),
             "detections": self.detections,

@@ -124,6 +124,17 @@ def new_txn_id() -> int:
     return next(_txn_ids)
 
 
+def txn_key(source: str, payload: object) -> tuple[str, object]:
+    """The key pairing a ``transaction.begin`` with its ``end``.
+
+    Prefers the stable ``txn_id`` stamped on transaction payloads and
+    falls back to object identity for payloads that carry none, so
+    every subscriber that pairs transactions pairs them the same way.
+    """
+    txn_id = getattr(payload, "txn_id", None)
+    return (source, txn_id if txn_id is not None else id(payload))
+
+
 class ProbeError(ValueError):
     """An unknown probe kind was used."""
 
@@ -316,6 +327,43 @@ class ProbeBus:
         if subs is not None:
             for callback in subs:
                 callback(time, signal, value)
+
+
+class ProbeSubscriber:
+    """Base of probe-bus subscribers: one generic ``attach``/``detach``.
+
+    Subclasses list their handlers either as a ``_SUBSCRIPTIONS`` tuple
+    of ``(kind, method name)`` pairs or by overriding
+    :meth:`subscriptions`. The pairs are resolved once at attach time
+    and subscribed in order; :meth:`detach` unsubscribes exactly those,
+    so handlers built per attach (closures) detach cleanly too.
+    """
+
+    _SUBSCRIPTIONS: tuple[tuple[str, str], ...] = ()
+    _bus: "ProbeBus | None" = None
+    _attached: tuple[tuple[str, Callback], ...] = ()
+
+    def subscriptions(self) -> typing.Iterable[tuple[str, Callback]]:
+        """The ``(kind, handler)`` pairs to subscribe, in order."""
+        return [
+            (kind, getattr(self, handler))
+            for kind, handler in self._SUBSCRIPTIONS
+        ]
+
+    def attach(self, bus: ProbeBus) -> typing.Self:
+        self._attached = tuple(self.subscriptions())
+        for kind, handler in self._attached:
+            bus.subscribe(kind, handler)
+        self._bus = bus
+        return self
+
+    def detach(self) -> None:
+        if self._bus is None:
+            return
+        for kind, handler in self._attached:
+            self._bus.unsubscribe(kind, handler)
+        self._attached = ()
+        self._bus = None
 
 
 # -- process-wide default bus ---------------------------------------------------

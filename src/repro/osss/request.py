@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from ..kernel.event import Event
+from ..telemetry.scorecard import jain_index
 
 _sequence = itertools.count()
 
@@ -116,10 +117,7 @@ class RequestStats:
         return max(self.wait_times) if self.wait_times else 0
 
     def fairness_index(self) -> float:
-        """Jain's fairness index over per-client grant counts (1.0 = fair)."""
-        counts = list(self.grants_by_client.values())
-        if not counts:
-            return 1.0
-        numerator = sum(counts) ** 2
-        denominator = len(counts) * sum(c * c for c in counts)
-        return numerator / denominator if denominator else 1.0
+        """Jain's fairness index over per-client grant counts (1.0 = fair,
+        also when nothing was granted yet)."""
+        index = jain_index(self.grants_by_client.values())
+        return 1.0 if index is None else index

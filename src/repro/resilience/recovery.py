@@ -20,6 +20,7 @@ from ..instrument.probes import (
     RESILIENCE_RETRY,
     RESILIENCE_TIMEOUT,
     ProbeBus,
+    ProbeSubscriber,
     ResilienceEvent,
 )
 from ..kernel.simtime import US
@@ -61,27 +62,18 @@ class RecoveryEpisode:
         )
 
 
-class RecoveryLog:
+class RecoveryLog(ProbeSubscriber):
     """Collects ``resilience.*`` probes and assembles episodes."""
+
+    _SUBSCRIPTIONS = tuple((kind, "_record") for kind in _KINDS)
 
     def __init__(self) -> None:
         self.events: list[ResilienceEvent] = []
-        self._bus: ProbeBus | None = None
 
     def attach(self, bus: ProbeBus) -> "RecoveryLog":
         if self._bus is not None:
             raise SimulationError("RecoveryLog is already attached to a bus")
-        for kind in _KINDS:
-            bus.subscribe(kind, self._record)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind in _KINDS:
-            self._bus.unsubscribe(kind, self._record)
-        self._bus = None
+        return super().attach(bus)
 
     def _record(self, event: ResilienceEvent) -> None:
         self.events.append(event)

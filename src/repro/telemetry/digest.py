@@ -1,7 +1,7 @@
 """Mergeable latency digests with fixed power-of-two buckets.
 
 The scorecards, the :class:`~repro.instrument.metrics.MetricsCollector`
-histograms and the fault-campaign telemetry all need the same thing: a
+traffic tables and the fault-campaign telemetry all need the same thing: a
 latency distribution that (a) never allocates per-sample storage, (b)
 answers p50/p95/p99 queries, and (c) **merges deterministically** —
 a digest assembled from per-worker shards in a process pool must equal
@@ -11,10 +11,9 @@ give all three: bucket *i* holds samples whose bit length is *i*
 plain per-bucket sum and is associative and commutative by
 construction.
 
-:func:`quantile_from_pow2_buckets` is the one shared quantile kernel;
-``Histogram.quantile`` in :mod:`repro.instrument.metrics` delegates to
-it, so the profiler tables and the scorecards can never disagree about
-what "p95" means.
+:class:`LatencyDigest` is the one latency distribution type in the
+repo, so the profiler tables and the scorecards can never disagree
+about what "p95" means.
 
 This module is deliberately dependency-free (it imports nothing from
 the rest of the package) so low-level layers can use it without cycles.
@@ -43,10 +42,10 @@ def quantile_from_pow2_buckets(
     :returns: the upper bound of the bucket containing the quantile
         (clamped to *max_value*), 0 for an empty sample set.
     """
-    if not count:
-        return 0
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if not count:
+        return 0
     threshold = q * count
     seen = 0
     for bucket in sorted(buckets):

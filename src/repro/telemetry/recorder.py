@@ -61,7 +61,7 @@ def _path_of(obj: object) -> str:
     return type(obj).__name__
 
 
-class FlightRecorder:
+class FlightRecorder(_p.ProbeSubscriber):
     """Bounded recorder of structured probe events for one run.
 
     :param capacity: ring size; the oldest events fall out first.
@@ -81,26 +81,11 @@ class FlightRecorder:
         self._ring: collections.deque = collections.deque(maxlen=capacity)
         self._seq = itertools.count()
         self.seen = 0
-        self._bus: _p.ProbeBus | None = None
-        self._handlers: list[tuple[str, typing.Callable]] = []
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, bus: _p.ProbeBus) -> "FlightRecorder":
-        for kind in self.kinds:
-            handler = self._make_handler(kind)
-            bus.subscribe(kind, handler)
-            self._handlers.append((kind, handler))
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind, handler in self._handlers:
-            self._bus.unsubscribe(kind, handler)
-        self._handlers.clear()
-        self._bus = None
+    def subscriptions(self) -> list[tuple[str, typing.Callable]]:
+        return [(kind, self._make_handler(kind)) for kind in self.kinds]
 
     def _make_handler(self, kind: str) -> typing.Callable:
         summarize = _SUMMARIZERS.get(kind, _summarize_generic)
@@ -312,42 +297,25 @@ def render_flight_record(header: dict, events: list[dict]) -> str:
 def flight_record_chrome_trace(events: list[dict]) -> list[dict]:
     """Convert loaded events into Chrome ``traceEvents`` slices.
 
-    Paired ``transaction.begin``/``end`` events become duration slices;
-    everything else becomes an instant event. Timestamps are converted
-    from fs to the viewer's microseconds.
+    ``transaction.begin``/``end`` events paired by ``(source, txn_id)``
+    become duration slices; everything else becomes an instant event.
+    A begin left without its end — a transaction still in flight when
+    the run crashed or timed out — stays visible as an instant event
+    with ``args.open = true``. Timestamps are converted from fs to the
+    viewer's microseconds.
     """
     fs_per_us = 1_000_000_000
     slices: list[dict] = []
-    open_txns: dict[object, dict] = {}
-    for event in events:
+    open_txns: dict[tuple, dict] = {}
+
+    def instant(event: dict) -> dict:
         kind = event.get("kind", "")
-        time = event.get("time")
-        if time is None:
-            continue
-        ts = time / fs_per_us
-        if kind == _p.TRANSACTION_BEGIN:
-            open_txns[event.get("txn_id", event["seq"])] = event
-            continue
-        if kind == _p.TRANSACTION_END:
-            begin = open_txns.pop(event.get("txn_id"), None)
-            if begin is not None:
-                slices.append({
-                    "name": event.get("payload", "transaction"),
-                    "cat": "transaction",
-                    "ph": "X",
-                    "ts": begin["time"] / fs_per_us,
-                    "dur": max(0.001, ts - begin["time"] / fs_per_us),
-                    "pid": 1,
-                    "tid": event.get("source", ""),
-                    "args": {"txn_id": event.get("txn_id")},
-                })
-                continue
-        slices.append({
+        return {
             "name": kind,
             "cat": kind.split(".", 1)[0],
             "ph": "i",
             "s": "t",
-            "ts": ts,
+            "ts": event["time"] / fs_per_us,
             "pid": 1,
             "tid": event.get("source") or event.get("space") or
                    event.get("path") or "run",
@@ -355,6 +323,37 @@ def flight_record_chrome_trace(events: list[dict]) -> list[dict]:
                 k: v for k, v in event.items()
                 if k not in ("seq", "kind", "time")
             },
-        })
+        }
+
+    for event in events:
+        kind = event.get("kind", "")
+        time = event.get("time")
+        if time is None:
+            continue
+        key = (event.get("source"), event.get("txn_id"))
+        if kind == _p.TRANSACTION_BEGIN and key[1] is not None:
+            open_txns[key] = event
+            continue
+        if kind == _p.TRANSACTION_END:
+            begin = open_txns.pop(key, None)
+            if begin is not None:
+                slices.append({
+                    "name": event.get("payload", "transaction"),
+                    "cat": "transaction",
+                    "ph": "X",
+                    "ts": begin["time"] / fs_per_us,
+                    "dur": max(
+                        0.001, time / fs_per_us - begin["time"] / fs_per_us
+                    ),
+                    "pid": 1,
+                    "tid": event.get("source", ""),
+                    "args": {"txn_id": event.get("txn_id")},
+                })
+                continue
+        slices.append(instant(event))
+    for begin in open_txns.values():
+        leftover = instant(begin)
+        leftover["args"]["open"] = True
+        slices.append(leftover)
     slices.sort(key=lambda s: (s["ts"], s["name"]))
     return slices

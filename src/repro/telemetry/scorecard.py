@@ -32,7 +32,8 @@ from ..instrument.probes import (
     METHOD_QUEUE,
     TRANSACTION_BEGIN,
     TRANSACTION_END,
-    ProbeBus,
+    ProbeSubscriber,
+    txn_key,
 )
 from .digest import LatencyDigest
 
@@ -59,18 +60,24 @@ def beats_of(payload: object) -> int:
     return 1
 
 
-def fairness_index(shares: typing.Iterable[int]) -> float | None:
-    """Jain's fairness index over per-client grant counts.
+def jain_index(values: typing.Iterable[int]) -> float | None:
+    """Jain's fairness index ``(sum x)**2 / (n * sum x**2)``.
 
-    1.0 = perfectly fair, 1/n = one client got everything; ``None``
-    when no grants were observed.
+    1.0 = perfectly fair, 1/n = one of *n* got everything; ``None``
+    when the values sum to zero.
     """
-    values = [v for v in shares if v > 0]
-    if not values:
-        return None
+    values = list(values)
     total = sum(values)
+    if not total:
+        return None
     squares = sum(v * v for v in values)
     return (total * total) / (len(values) * squares)
+
+
+def fairness_index(shares: typing.Iterable[int]) -> float | None:
+    """Jain's index over the clients granted at least once; ``None``
+    when no grants were observed."""
+    return jain_index(v for v in shares if v > 0)
 
 
 def _merge_intervals(intervals: list) -> int:
@@ -240,7 +247,7 @@ class CellScore:
         )
 
 
-class ScorecardProbe:
+class ScorecardProbe(ProbeSubscriber):
     """Probe-bus subscriber reducing one run to a :class:`CellScore`.
 
     :param cycle_fs: the platform's bus clock period (fs), needed only
@@ -274,29 +281,8 @@ class ScorecardProbe:
         self._detections = 0
         self._grants_by_client: dict[str, int] = {}
         self._wait = LatencyDigest()
-        self._bus: ProbeBus | None = None
-
-    # -- wiring --------------------------------------------------------------
-
-    def attach(self, bus: ProbeBus) -> "ScorecardProbe":
-        for kind, handler in self._SUBSCRIPTIONS:
-            bus.subscribe(kind, getattr(self, handler))
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind, handler in self._SUBSCRIPTIONS:
-            self._bus.unsubscribe(kind, getattr(self, handler))
-        self._bus = None
 
     # -- handlers ------------------------------------------------------------
-
-    @staticmethod
-    def _txn_key(source: str, payload: object) -> tuple[str, object]:
-        txn_id = getattr(payload, "txn_id", None)
-        return (source, txn_id if txn_id is not None else id(payload))
 
     def _source(self, source: str) -> list:
         record = self._sources.get(source)
@@ -312,12 +298,12 @@ class ScorecardProbe:
 
     def _on_begin(self, time: int, source: str, payload: object) -> None:
         self._clock(time)
-        self._open[self._txn_key(source, payload)] = time
+        self._open[txn_key(source, payload)] = time
 
     def _on_end(self, time: int, source: str, payload: object) -> None:
         self._clock(time)
         self._ends_total += 1
-        begin = self._open.pop(self._txn_key(source, payload), None)
+        begin = self._open.pop(txn_key(source, payload), None)
         if begin is None:
             return
         record = self._source(source)

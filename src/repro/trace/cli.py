@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import runpy
 import sys
 
+from .._script import add_script_arguments, run_script
 from ..instrument.probes import ProbeBus, set_default_bus
 from ..instrument.profiler import write_chrome_trace
 from .attribution import attribute
@@ -40,15 +40,7 @@ DIFF_COMMANDS = 25
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "script", nargs="?", default=None,
-        help="Python script to trace (e.g. examples/pci_system.py); "
-             "omit when using --diff",
-    )
-    parser.add_argument(
-        "script_args", nargs=argparse.REMAINDER,
-        help="arguments passed through to the script",
-    )
+    add_script_arguments(parser, "trace", optional=True)
     parser.add_argument(
         "--diff", nargs=2, metavar=("A", "B"), choices=DIFF_LEVELS,
         default=None,
@@ -71,29 +63,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--chrome", dest="chrome_path", metavar="PATH", default=None,
         help="write the span forest as a Chrome trace-event file",
     )
-    parser.add_argument(
-        "--no-causal", action="store_true",
-        help="skip notify->wake edge recording (no critical path)",
-    )
-    parser.add_argument(
-        "--quiet-script", action="store_true",
-        help="suppress the traced script's stdout",
-    )
-
-
-def _run_script(script: str, script_args: list[str], quiet: bool) -> None:
-    saved_argv = sys.argv
-    sys.argv = [script, *script_args]
-    saved_stdout = sys.stdout
-    if quiet:
-        import io
-
-        sys.stdout = io.StringIO()
-    try:
-        runpy.run_path(script, run_name="__main__")
-    finally:
-        sys.stdout = saved_stdout
-        sys.argv = saved_argv
 
 
 def _diff_workload(args: argparse.Namespace) -> list:
@@ -194,12 +163,14 @@ def _run_diff(args: argparse.Namespace) -> int:
 
 def _run_script_mode(args: argparse.Namespace) -> int:
     bus = ProbeBus()
-    tracer = SpanTracer(causal=not args.no_causal).attach(bus)
+    tracer = SpanTracer().attach(bus)
     previous = set_default_bus(bus)
     try:
-        _run_script(args.script, args.script_args, args.quiet_script)
+        status = run_script(args.script, args.script_args, args.quiet_script)
     finally:
         set_default_bus(previous)
+    if status:
+        return status
     tracer.finalize()
     report = attribute(tracer)
     path = critical_path(tracer)
@@ -212,9 +183,8 @@ def _run_script_mode(args: argparse.Namespace) -> int:
     if report.transactions:
         print()
         print(report.render(args.top))
-    if not args.no_causal:
-        print()
-        print(path.render())
+    print()
+    print(path.render())
 
     if args.chrome_path:
         events = tracer.chrome_events()

@@ -31,7 +31,8 @@ from ..instrument.probes import (
     PROCESS_ACTIVATE,
     TRANSACTION_BEGIN,
     TRANSACTION_END,
-    ProbeBus,
+    ProbeSubscriber,
+    txn_key,
 )
 from ..osss.request import correlation_id_of
 
@@ -167,7 +168,7 @@ def _corr_sort_key(corr_id: str) -> tuple:
         return (path, 0)
 
 
-class SpanTracer:
+class SpanTracer(ProbeSubscriber):
     """Probe-bus subscriber assembling per-transaction span trees.
 
     Attach to a bus (``SpanTracer().attach(sim.probes)``), run, then
@@ -193,7 +194,6 @@ class SpanTracer:
         self._wire_spans: list[Span] = []
         self._last_notifier: dict[object, str] = {}
         self._finalized = False
-        self._bus: ProbeBus | None = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -210,23 +210,11 @@ class SpanTracer:
         (PROCESS_ACTIVATE, "_on_process_activate"),
     )
 
-    def _subscriptions(self) -> tuple:
+    def subscriptions(self) -> list:
+        pairs = self._SUBSCRIPTIONS
         if self.causal:
-            return self._SUBSCRIPTIONS + self._CAUSAL_SUBSCRIPTIONS
-        return self._SUBSCRIPTIONS
-
-    def attach(self, bus: ProbeBus) -> "SpanTracer":
-        for kind, handler in self._subscriptions():
-            bus.subscribe(kind, getattr(self, handler))
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind, handler in self._subscriptions():
-            self._bus.unsubscribe(kind, getattr(self, handler))
-        self._bus = None
+            pairs += self._CAUSAL_SUBSCRIPTIONS
+        return [(kind, getattr(self, handler)) for kind, handler in pairs]
 
     # -- guarded-method handlers ----------------------------------------------
 
@@ -287,11 +275,6 @@ class SpanTracer:
     # -- transaction handlers ---------------------------------------------------
 
     @staticmethod
-    def _txn_key(source: str, payload: object) -> tuple:
-        txn_id = getattr(payload, "txn_id", None)
-        return (source, txn_id if txn_id is not None else id(payload))
-
-    @staticmethod
     def _payload_span(time: int, source: str, payload: object) -> Span:
         category = WIRE if hasattr(payload, "terminated_by") else BUS
         name = getattr(payload, "command_name", None) or type(payload).__name__
@@ -313,10 +296,10 @@ class SpanTracer:
 
     def _on_transaction_begin(self, time: int, source: str, payload: object) -> None:
         span = self._payload_span(time, source, payload)
-        self._open_transactions[self._txn_key(source, payload)] = span
+        self._open_transactions[txn_key(source, payload)] = span
 
     def _on_transaction_end(self, time: int, source: str, payload: object) -> None:
-        span = self._open_transactions.pop(self._txn_key(source, payload), None)
+        span = self._open_transactions.pop(txn_key(source, payload), None)
         if span is None:
             # Begin-less emission (Wishbone classic cycles terminate in
             # the cycle they are observed): a point-like span.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import typing
 
 from ..errors import CoverageError
+from ..instrument.probes import ProbeSubscriber
 
 
 class CoverPoint:
@@ -108,7 +109,7 @@ class CoverageCollector:
         return "\n".join(lines)
 
 
-class ProbeCoverage:
+class ProbeCoverage(ProbeSubscriber):
     """Samples coverpoints straight off the probe bus.
 
     Instead of sprinkling ``collector.sample(...)`` calls through the
@@ -127,7 +128,6 @@ class ProbeCoverage:
     def __init__(self, collector: CoverageCollector) -> None:
         self.collector = collector
         self._bindings: list[tuple[str, typing.Callable]] = []
-        self._bus = None
 
     def cover(
         self,
@@ -147,15 +147,5 @@ class ProbeCoverage:
         self._bindings.append((kind, sampler))
         return self
 
-    def attach(self, bus) -> "ProbeCoverage":
-        for kind, sampler in self._bindings:
-            bus.subscribe(kind, sampler)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind, sampler in self._bindings:
-            self._bus.unsubscribe(kind, sampler)
-        self._bus = None
+    def subscriptions(self) -> list[tuple[str, typing.Callable]]:
+        return self._bindings

@@ -1,28 +1,31 @@
 """Metrics aggregation: histograms, counters, the collector, detections."""
 
+
 from repro.hdl.module import Module
 from repro.instrument import (
     DETECTION,
     Counter,
     DetectionLog,
-    Histogram,
     MetricsCollector,
     ProbeBus,
 )
 from repro.kernel import NS, US, Simulator
 from repro.osss import GlobalObject, guarded_method
+from repro.telemetry.digest import LatencyDigest
 
 
 class TestHistogram:
+    """The collector's time histograms are power-of-two LatencyDigests."""
+
     def test_empty(self):
-        h = Histogram()
+        h = LatencyDigest()
         assert h.count == 0
         assert h.mean == 0.0
         assert h.quantile(0.5) == 0
         assert h.to_dict()["max"] is None
 
     def test_basic_stats(self):
-        h = Histogram()
+        h = LatencyDigest()
         for v in (0, 1, 2, 4, 100):
             h.add(v)
         assert h.count == 5
@@ -31,22 +34,22 @@ class TestHistogram:
         assert h.mean == 107 / 5
 
     def test_quantile_bounds(self):
-        h = Histogram()
+        h = LatencyDigest()
         for v in range(1, 101):
             h.add(v)
         assert h.quantile(0.0) <= h.quantile(0.5) <= h.quantile(1.0)
         assert h.quantile(1.0) == 100
 
     def test_negative_clamped(self):
-        h = Histogram()
+        h = LatencyDigest()
         h.add(-5)
         assert h.min == 0
 
     def test_buckets_are_powers_of_two(self):
-        h = Histogram()
+        h = LatencyDigest()
         for v in (0, 1, 3, 5, 9):
             h.add(v)
-        uppers = [upper for upper, _ in h.buckets()]
+        uppers = [(1 << bucket) - 1 for bucket in sorted(h.buckets)]
         assert uppers == [0, 1, 3, 7, 15]
 
 
@@ -214,11 +217,12 @@ class TestMetricsCollector:
 class TestMonitorTransactionProbes:
     def test_pci_platform_emits_transactions(self):
         from repro.core import CommandType
-        from repro.flow import build_pci_platform
+        from repro.flow import build_platform
         from repro.kernel import MS
 
-        bundle = build_pci_platform(
-            [[CommandType.write(0x40, [1, 2]), CommandType.read(0x40, count=2)]]
+        bundle = build_platform(
+            [[CommandType.write(0x40, [1, 2]), CommandType.read(0x40, count=2)]],
+            bus="pci"
         )
         sim = bundle.handle.sim
         metrics = MetricsCollector().attach(sim.probes)
@@ -232,12 +236,12 @@ class TestMonitorTransactionProbes:
     def test_fault_activation_probe(self):
         from repro.core import CommandType
         from repro.fault.models import make_fault
-        from repro.flow import PciPlatformConfig, build_pci_platform
+        from repro.flow import PciPlatformConfig, build_platform
         from repro.kernel import MS
 
-        bundle = build_pci_platform(
+        bundle = build_platform(
             [[CommandType.write(0x40, [1])]],
-            PciPlatformConfig(monitor_strict=False),
+            PciPlatformConfig(monitor_strict=False), bus="pci",
         )
         sim = bundle.handle.sim
         sim.elaborate()

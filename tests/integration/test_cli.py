@@ -172,3 +172,44 @@ class TestFaultCli:
                      "--lint"]) == 0
         out = capsys.readouterr().out
         assert "detection coverage" in out
+
+
+_EXITING_SCRIPT = """
+import sys
+
+from repro.core import CommandType
+from repro.flow import build_platform
+from repro.kernel import MS
+
+
+def main():
+    commands = [CommandType.write(0x40, [1]), CommandType.read(0x40, count=1)]
+    build_platform([commands], bus="pci", synthesize=True).run(5 * MS)
+    return {status}
+
+
+sys.exit(main())
+"""
+
+
+class TestScriptExit:
+    """A script ending in ``sys.exit(main())`` must not end the CLI."""
+
+    @pytest.mark.parametrize("command", ["analyze", "compile", "profile",
+                                         "spans"])
+    @pytest.mark.parametrize("status", [0, None, 3])
+    def test_script_exit_status(self, command, status, tmp_path,
+                                monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        script = tmp_path / "exiting.py"
+        script.write_text(_EXITING_SCRIPT.format(status=status))
+        rc = main([command, "--quiet-script", str(script)])
+        captured = capsys.readouterr()
+        if status == 3:
+            assert rc == 3
+            assert captured.out == ""
+            assert "script exited with status 3" in captured.err
+        else:
+            assert rc == 0
+            assert captured.out.strip()
+            assert "script exited" not in captured.err

@@ -21,6 +21,11 @@ class TestQuantileKernel:
             quantile_from_pow2_buckets({1: 1}, 1, 1, 1.5)
         with pytest.raises(ValueError):
             quantile_from_pow2_buckets({1: 1}, 1, 1, -0.1)
+        # Validated before the empty-input shortcut.
+        with pytest.raises(ValueError):
+            quantile_from_pow2_buckets({}, 0, None, 2.0)
+        with pytest.raises(ValueError):
+            LatencyDigest().quantile(2.0)
 
     def test_upper_bound_of_selected_bucket(self):
         # bucket 4 holds [8, 15]; one sample there, quantile reports 15.
@@ -101,23 +106,24 @@ class TestLatencyDigest:
 
 
 class TestHistogramDelegation:
-    """Satellite: MetricsCollector histograms share the quantile kernel."""
+    """MetricsCollector's traffic histograms are LatencyDigests."""
 
     def test_histogram_quantile_equals_digest_quantile(self):
-        from repro.instrument.metrics import Histogram
+        from repro.instrument.metrics import MethodMetrics
 
-        histogram = Histogram()
+        histogram = MethodMetrics("chan", "put").total_times
         digest = LatencyDigest()
         for value in (1, 2, 3, 50, 900, 40_000):
             histogram.add(value)
             digest.add(value)
+        assert isinstance(histogram, LatencyDigest)
         for q in STANDARD_QUANTILES:
             assert histogram.quantile(q) == digest.quantile(q)
 
     def test_histogram_document_has_p95_p99(self):
-        from repro.instrument.metrics import Histogram
+        from repro.instrument.metrics import MethodMetrics
 
-        histogram = Histogram()
+        histogram = MethodMetrics("chan", "put").total_times
         histogram.add(100)
         document = histogram.to_dict()
         assert "p95" in document and "p99" in document

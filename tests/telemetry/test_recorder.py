@@ -120,3 +120,25 @@ class TestDumpAndReplay:
         assert len(durations) == 1
         assert durations[0]["args"]["txn_id"] == 3
         assert durations[0]["dur"] > 0
+
+    def test_chrome_trace_keeps_in_flight_transactions(self):
+        # A crashed run: one transaction never ended, and an end on
+        # another source must not close it despite the shared txn_id.
+        events = [
+            {"seq": 0, "kind": TRANSACTION_BEGIN, "time": 1_000_000,
+             "source": "top.bus.mon", "payload": "Txn", "txn_id": 9},
+            {"seq": 1, "kind": TRANSACTION_END, "time": 1_500_000,
+             "source": "top.other", "payload": "Txn", "txn_id": 9},
+            {"seq": 2, "kind": DETECTION, "time": 2_000_000,
+             "source": "top.checker", "message": "stall"},
+        ]
+        slices = flight_record_chrome_trace(events)
+        assert not [s for s in slices if s["ph"] == "X"]
+        open_slices = [s for s in slices if s["args"].get("open")]
+        assert len(open_slices) == 1
+        assert open_slices[0]["name"] == TRANSACTION_BEGIN
+        assert open_slices[0]["tid"] == "top.bus.mon"
+        assert open_slices[0]["args"]["txn_id"] == 9
+        assert [s["name"] for s in slices] == [
+            TRANSACTION_BEGIN, TRANSACTION_END, DETECTION,
+        ]
