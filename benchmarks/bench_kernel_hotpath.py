@@ -1,6 +1,6 @@
-"""KER-HOT — kernel hot-path scaling and probe-bus overhead.
+"""KER-HOT — kernel hot-path scaling, probe-bus overhead, clock floor.
 
-Two questions about the evaluate/update core:
+Three questions about the evaluate/update core:
 
 1. Does delta-event scheduling scale linearly in the number of pending
    delta notifications?  The scheduler used to guard against duplicate
@@ -11,6 +11,10 @@ Two questions about the evaluate/update core:
    (signal commit, process switch, delta begin/end) check a single
    attribute against ``None`` — the off-path must stay within noise of
    a kernel that never heard of probes.
+3. What does one idle clock cycle cost before any model code runs?
+   Host microseconds per cycle for a bare ``Clock`` and for a clock
+   driving an idle synthesized (interpreted RTL) method channel. This
+   is the floor under every pin-level and synthesized simulation.
 """
 
 import time
@@ -18,8 +22,11 @@ import time
 import pytest
 from _tables import print_table
 
+from repro.hdl import Clock, Module
 from repro.instrument import MetricsCollector
-from repro.kernel import Simulator, Timeout
+from repro.kernel import NS, Simulator, Timeout
+from repro.osss import GlobalObject, connect, guarded_method
+from repro.synthesis import SynthesisConfig, synthesize_communication
 
 ROUNDS = 50
 
@@ -110,3 +117,69 @@ def test_ker_hot_probe_bus_off_vs_on():
     # The subscribed path legitimately pays for its callbacks; the off
     # path must stay cheap in absolute terms.
     assert off < 1.0
+
+
+CLOCK_PERIOD = 10 * NS
+FLOOR_CYCLES = 20_000
+
+
+class _Counter:
+    def __init__(self):
+        self.count = 0
+
+    @guarded_method()
+    def bump(self):
+        self.count += 1
+
+
+class _Host(Module):
+    def __init__(self, parent, name):
+        super().__init__(parent, name)
+        self.obj = GlobalObject(self, "obj", _Counter)
+
+
+def _bare_clock():
+    sim = Simulator()
+    return sim, Clock(sim, "clock", period=CLOCK_PERIOD), None
+
+
+def _clock_and_idle_channel():
+    sim = Simulator()
+    clock = Clock(sim, "clock", period=CLOCK_PERIOD)
+    hosts = [_Host(sim, f"h{i}") for i in range(2)]
+    connect(*[host.obj for host in hosts])
+    result = synthesize_communication(
+        sim, clock.clk, SynthesisConfig(emit_hdl=False)
+    )
+    return sim, clock, result.groups[0].channel
+
+
+def _us_per_cycle(build, cycles=FLOOR_CYCLES):
+    """Host µs per idle clock cycle of the platform *build* returns."""
+    sim, clock, channel = build()
+    sim.run(CLOCK_PERIOD)  # elaborate and start every process untimed
+    start_cycles = clock.cycle_count
+    started = time.perf_counter()
+    sim.run(cycles * CLOCK_PERIOD)
+    elapsed = time.perf_counter() - started
+    # Idle cycles are simulated, not skipped: every counter stays exact.
+    assert clock.cycle_count - start_cycles == cycles
+    if channel is not None:
+        assert channel.idle_cycles == clock.cycle_count
+        assert channel.calls_serviced == 0
+    return elapsed / cycles * 1e6
+
+
+def test_ker_hot_clock_floor_table():
+    rows = []
+    for label, build in (
+        ("bare Clock", _bare_clock),
+        ("Clock + idle synthesized channel", _clock_and_idle_channel),
+    ):
+        best = min(_us_per_cycle(build) for __ in range(3))
+        rows.append([label, f"{best:.2f}"])
+    print_table(
+        f"KER-HOT idle clock floor ({FLOOR_CYCLES} cycles)",
+        ["platform", "best-of-3 (us/cycle)"],
+        rows,
+    )

@@ -387,6 +387,23 @@ class LogicVector:
         return bin(self._ones).count("1")
 
 
+#: The two interned 1-bit vectors :func:`to_vector` returns.
+_BITS = (LogicVector(1, 0), LogicVector(1, 1))
+
+
+def to_vector(width: int, value: object) -> LogicVector:
+    """``LogicVector(width, value)``, interned for 1-bit ints and bools.
+
+    Signals coerce every non-vector write through this, so a 1-bit line
+    (a clock, a handshake wire) commits one of two shared constants
+    instead of allocating a vector per edge. Only bit 0 of an int counts,
+    as in the constructor.
+    """
+    if width == 1 and type(value) in (int, bool):
+        return _BITS[value & 1]  # type: ignore[operator]
+    return LogicVector(width, value)  # type: ignore[arg-type]
+
+
 def _masks_from_char(char: str) -> tuple[int, int, int]:
     return (char == "1", char == "X", char == "Z")
 

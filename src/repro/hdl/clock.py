@@ -55,19 +55,21 @@ class Clock(Module):
         return self.clk.negedge
 
     def _toggle(self):
+        high = Timeout(self.high_time)
+        low = Timeout(self.low_time)
         if self.start_high:
             while True:
-                yield Timeout(self.high_time)
+                yield high
                 self.clk.write(0)
-                yield Timeout(self.low_time)
+                yield low
                 self.clk.write(1)
                 self.cycle_count += 1
         else:
             while True:
-                yield Timeout(self.low_time)
+                yield low
                 self.clk.write(1)
                 self.cycle_count += 1
-                yield Timeout(self.high_time)
+                yield high
                 self.clk.write(0)
 
 

@@ -14,7 +14,7 @@ import typing
 from ..errors import WidthError
 from ..kernel.event import Event
 from ..kernel.signal_base import UpdateTarget
-from .bitvector import LogicVector, resolve_vectors
+from .bitvector import LogicVector, resolve_vectors, to_vector
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..kernel.simulator import Simulator
@@ -26,7 +26,7 @@ class BusDriver:
     def __init__(self, bus: "ResolvedSignal", name: str) -> None:
         self._bus = bus
         self.name = name
-        self._contribution = LogicVector.high_z(bus.width)
+        self._contribution = bus._all_z
 
     def __repr__(self) -> str:
         return f"BusDriver({self._bus.name}:{self.name}={self._contribution})"
@@ -37,19 +37,31 @@ class BusDriver:
 
     def write(self, value: "LogicVector | int | str") -> None:
         """Drive *value* onto the bus (committed at the update phase)."""
+        bus = self._bus
         if not isinstance(value, LogicVector):
-            value = LogicVector(self._bus.width, value)
-        if value.width != self._bus.width:
+            value = to_vector(bus.width, value)
+        if value.width != bus.width:
             raise WidthError(
                 f"driver {self.name!r}: value width {value.width} != bus "
-                f"width {self._bus.width}"
+                f"width {bus.width}"
             )
+        old = self._contribution
+        if (
+            old._ones != value._ones
+            or old._x != value._x
+            or old._z != value._z
+        ):
+            bus._dirty = True
         self._contribution = value
-        self._bus._request_update()
+        # Always enqueue, even when unchanged: the update queue's order is
+        # the commit order.
+        if not bus._update_requested:
+            bus._update_requested = True
+            bus._scheduler._update_queue.append(bus)
 
     def release(self) -> None:
         """Stop driving: contribute all-Z."""
-        self.write(LogicVector.high_z(self._bus.width))
+        self.write(self._bus._all_z)
 
 
 class ResolvedSignal(UpdateTarget):
@@ -61,7 +73,13 @@ class ResolvedSignal(UpdateTarget):
         self.name = name
         self.width = width
         self._drivers: dict[str, BusDriver] = {}
-        self._value = LogicVector.high_z(width)
+        #: The interned all-Z vector released drivers contribute.
+        self._all_z = LogicVector.high_z(width)
+        self._value = self._all_z
+        #: Resolution of the drivers' contributions, recomputed only
+        #: when a contribution changed (``_dirty``).
+        self._resolved = self._all_z
+        self._dirty = False
         self._changed: Event | None = None
 
     def __repr__(self) -> str:
@@ -76,6 +94,7 @@ class ResolvedSignal(UpdateTarget):
         except KeyError:
             driver = BusDriver(self, name)
             self._drivers[name] = driver
+            self._dirty = True
             return driver
 
     @property
@@ -100,10 +119,22 @@ class ResolvedSignal(UpdateTarget):
     # -- update phase ------------------------------------------------------------
 
     def _perform_update(self) -> None:
-        resolved = resolve_vectors(
-            self.width, [driver.contribution for driver in self._drivers.values()]
-        )
-        if resolved == self._value:
+        if self._dirty:
+            self._dirty = False
+            self._resolved = resolve_vectors(
+                self.width,
+                [driver._contribution for driver in self._drivers.values()],
+            )
+        resolved = self._resolved
+        # Compare against _value every time, never return early on a clean
+        # cache: a fault override writes _value out of band and relies on
+        # the next update to resolve the line again.
+        value = self._value
+        if (
+            resolved._ones == value._ones
+            and resolved._x == value._x
+            and resolved._z == value._z
+        ):
             return
         self._value = resolved
         if self._changed is not None:

@@ -17,7 +17,8 @@ import typing
 from ..errors import MultipleDriverError, SimulationError
 from ..kernel.event import Event
 from ..kernel.signal_base import UpdateTarget
-from .bitvector import LogicVector
+from ..kernel.simtime import check_delay
+from .bitvector import LogicVector, to_vector
 from .logic import Logic
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -100,7 +101,7 @@ class Signal(UpdateTarget):
     def write(self, value: object) -> None:
         """Stage *value* for commit at the end of the current delta."""
         if self.width is not None and not isinstance(value, LogicVector):
-            value = LogicVector(self.width, value)  # type: ignore[arg-type]
+            value = to_vector(self.width, value)
         if self._single_writer:
             writer = self._scheduler.current_process
             if (
@@ -116,7 +117,9 @@ class Signal(UpdateTarget):
             self._delta_writer = writer
         self._next = value
         self._has_next = True
-        self._request_update()
+        if not self._update_requested:
+            self._update_requested = True
+            self._scheduler._update_queue.append(self)
 
     def write_after(self, value: object, delay: int) -> None:
         """Schedule a write *delay* femtoseconds in the future.
@@ -126,9 +129,7 @@ class Signal(UpdateTarget):
         schedules for the same instant win, like successive writes).
         """
         if self.width is not None and not isinstance(value, LogicVector):
-            value = LogicVector(self.width, value)  # type: ignore[arg-type]
-        from ..kernel.simtime import check_delay
-
+            value = to_vector(self.width, value)
         check_delay(delay)
         if delay == 0:
             self.write(value)
@@ -140,7 +141,7 @@ class Signal(UpdateTarget):
     def force(self, value: object) -> None:
         """Set the committed value immediately (test fixtures only)."""
         if self.width is not None and not isinstance(value, LogicVector):
-            value = LogicVector(self.width, value)  # type: ignore[arg-type]
+            value = to_vector(self.width, value)
         old = self._value
         self._value = value
         self._next = value
@@ -156,7 +157,15 @@ class Signal(UpdateTarget):
             return
         self._has_next = False
         old, new = self._value, self._next
-        if old == new:
+        if type(old) is LogicVector and type(new) is LogicVector:
+            if (
+                old._ones == new._ones
+                and old._x == new._x
+                and old._z == new._z
+                and old._width == new._width
+            ):
+                return
+        elif old == new:
             return
         self._value = new
         self._fire_edges(old, new)
@@ -196,6 +205,10 @@ class Signal(UpdateTarget):
 
 def _level(value: object) -> bool | None:
     """Map a signal value to a boolean level for edge detection."""
+    if isinstance(value, LogicVector):
+        if value._width == 1 and not (value._x or value._z):
+            return value._ones == 1
+        return None
     if isinstance(value, bool):
         return value
     if isinstance(value, Logic):
@@ -203,14 +216,6 @@ def _level(value: object) -> bool | None:
             return True
         if value.char == "0":
             return False
-        return None
-    if isinstance(value, LogicVector):
-        if value.width == 1:
-            char = value.bit(0).char
-            if char == "1":
-                return True
-            if char == "0":
-                return False
         return None
     if isinstance(value, int):
         return bool(value)

@@ -37,7 +37,6 @@ class Event:
         self._dynamic_waiters: list["Process"] = []
         self._static_waiters: list["Process"] = []
         self._callbacks: list[typing.Callable[[], None]] = []
-        self._pending_timed: bool = False
         #: Set while queued for the next delta (O(1) dedup in
         #: Scheduler._schedule_delta_event).
         self._delta_pending: bool = False
@@ -105,14 +104,16 @@ class Event:
         if probes is not None:
             cause, self._notify_cause = self._notify_cause, None
             probes.event_notify(self._scheduler._time, self, cause)
-        waiters, self._dynamic_waiters = self._dynamic_waiters, []
-        for process in waiters:
-            process._wake(self)
+        if self._dynamic_waiters:
+            waiters, self._dynamic_waiters = self._dynamic_waiters, []
+            for process in waiters:
+                process._wake(self)
         for process in self._static_waiters:
             process._wake_static(self)
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback()
+        if self._callbacks:
+            callbacks, self._callbacks = self._callbacks, []
+            for callback in callbacks:
+                callback()
 
 
 class EventList:

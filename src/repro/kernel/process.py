@@ -13,6 +13,7 @@ Two SystemC-like process kinds are supported:
 
 from __future__ import annotations
 
+import heapq
 import typing
 from collections.abc import Generator
 
@@ -63,9 +64,12 @@ class Process:
         self.kind = kind
         self._func = func
         self._generator: ThreadGenerator | None = None
-        self._waiting_on: list[Event] = []
+        #: Events of the current dynamic wait (empty while not waiting).
+        self._waiting_on: tuple[Event, ...] = ()
         self._all_of_pending: set[Event] = set()
-        self._timeout_event: Event | None = None
+        #: ``(timer,)``: the one timer Event every Timeout wait of this
+        #: process reuses, created on the first Timeout.
+        self._timer_wait: tuple[Event] | None = None
         self.done = False
         self.started = False
         #: Notified when the process terminates (thread return / StopIteration).
@@ -99,7 +103,12 @@ class Process:
             self._all_of_pending.discard(trigger)
             if self._all_of_pending:
                 return
-        self._clear_waits(keep=trigger)
+        if len(self._waiting_on) == 1:
+            # Single-event wait: the trigger already dropped its waiters,
+            # so there is nothing left to deregister.
+            self._waiting_on = ()
+        else:
+            self._clear_waits(keep=trigger)
         if self._scheduler._probes is not None:
             self._wake_trigger = trigger
         self._make_runnable()
@@ -118,15 +127,15 @@ class Process:
     def _make_runnable(self) -> None:
         if not self._runnable:
             self._runnable = True
-            self._scheduler._make_runnable(self)
+            self._scheduler._runnable.append(self)
 
     def _clear_waits(self, keep: Event | None = None) -> None:
         for event in self._waiting_on:
             if event is not keep:
                 event._remove_dynamic(self)
-        self._waiting_on = []
-        self._all_of_pending = set()
-        self._timeout_event = None
+        self._waiting_on = ()
+        if self._all_of_pending:
+            self._all_of_pending = set()
 
     # -- execution ------------------------------------------------------------
 
@@ -160,24 +169,40 @@ class Process:
         self._register_wait(wait_spec)
 
     def _register_wait(self, wait_spec: object) -> None:
-        if isinstance(wait_spec, Timeout):
-            event = Event(self._scheduler, f"{self.name}.timeout")
-            event.notify_after(wait_spec.delay)
-            self._timeout_event = event
-            self._waiting_on = [event]
-            event._add_dynamic(self)
+        if type(wait_spec) is Event or isinstance(wait_spec, Event):
+            self._waiting_on = (wait_spec,)
+            wait_spec._dynamic_waiters.append(self)
             return
-        if isinstance(wait_spec, Event):
-            self._waiting_on = [wait_spec]
-            wait_spec._add_dynamic(self)
+        if isinstance(wait_spec, Timeout):
+            waiting_on = self._timer_wait
+            if waiting_on is None:
+                waiting_on = self._timer_wait = (
+                    Event(self._scheduler, f"{self.name}.timeout"),
+                )
+            timer = waiting_on[0]
+            delay = wait_spec.delay
+            if delay == 0:
+                timer.notify_delta()
+            else:
+                # Timeout.__init__ already ran check_delay: push directly.
+                scheduler = self._scheduler
+                if scheduler._probes is not None:
+                    timer._notify_cause = scheduler.current_process
+                scheduler._timed_seq += 1
+                heapq.heappush(
+                    scheduler._timed,
+                    (scheduler._time + delay, scheduler._timed_seq, timer),
+                )
+            self._waiting_on = waiting_on
+            timer._dynamic_waiters.append(self)
             return
         if isinstance(wait_spec, AnyOf):
-            self._waiting_on = list(wait_spec.events)
+            self._waiting_on = wait_spec.events
             for event in wait_spec.events:
                 event._add_dynamic(self)
             return
         if isinstance(wait_spec, AllOf):
-            self._waiting_on = list(wait_spec.events)
+            self._waiting_on = wait_spec.events
             self._all_of_pending = set(wait_spec.events)
             for event in wait_spec.events:
                 event._add_dynamic(self)

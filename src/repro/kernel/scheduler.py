@@ -101,9 +101,6 @@ class Scheduler:
 
     # -- internal hooks used by Event / Signal --------------------------------
 
-    def _make_runnable(self, process: Process) -> None:
-        self._runnable.append(process)
-
     def _schedule_delta_event(self, event: Event) -> None:
         # O(1) dedup flag, mirroring request_update: a linear `in` scan
         # over the pending list is quadratic when many events collapse
@@ -165,12 +162,15 @@ class Scheduler:
             event._trigger()
 
     def _run_delta_cycles(self) -> None:
+        runnable = self._runnable
+        next_runnable = runnable.popleft
+        max_deltas = self._max_deltas
         deltas_this_step = 0
-        while self._runnable or self._delta_events or self._update_queue:
+        while runnable or self._delta_events or self._update_queue:
             deltas_this_step += 1
-            if deltas_this_step > self._max_deltas:
+            if deltas_this_step > max_deltas:
                 raise SimulationError(
-                    f"more than {self._max_deltas} delta cycles at time "
+                    f"more than {max_deltas} delta cycles at time "
                     f"{self.time_str()}: probable zero-delay feedback loop"
                 )
             self._delta_count += 1
@@ -178,8 +178,8 @@ class Scheduler:
             # Evaluation phase.
             if probes is not None:
                 probes.delta_begin(self._time, self._delta_count)
-                while self._runnable:
-                    process = self._runnable.popleft()
+                while runnable:
+                    process = next_runnable()
                     self.current_process = process
                     cause, process._wake_trigger = process._wake_trigger, None
                     probes.process_activate(self._time, process, cause)
@@ -189,24 +189,26 @@ class Scheduler:
                         self.current_process = None
                         probes.process_suspend(self._time, process)
             else:
-                while self._runnable:
-                    process = self._runnable.popleft()
+                while runnable:
+                    process = next_runnable()
                     self.current_process = process
                     try:
                         process._execute()
                     finally:
                         self.current_process = None
             # Update phase.
-            updates, self._update_queue = self._update_queue, []
-            for target in updates:
-                target._update_requested = False
-                target._perform_update()
+            if self._update_queue:
+                updates, self._update_queue = self._update_queue, []
+                for target in updates:
+                    target._update_requested = False
+                    target._perform_update()
             # Delta notification phase. Clear the dedup flag before the
             # trigger so a callback may re-notify for the next delta.
-            events, self._delta_events = self._delta_events, []
-            for event in events:
-                event._delta_pending = False
-                event._trigger()
+            if self._delta_events:
+                events, self._delta_events = self._delta_events, []
+                for event in events:
+                    event._delta_pending = False
+                    event._trigger()
             if probes is not None:
                 probes.delta_end(self._time, self._delta_count)
             if self._stop_requested:

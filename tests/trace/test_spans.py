@@ -1,6 +1,7 @@
 """Unit and integration tests for the causal span tracer."""
 
 from repro.flow import build_platform
+from repro.hdl import Clock
 from repro.instrument import ProbeBus
 from repro.instrument.probes import (
     METHOD_CALL,
@@ -9,7 +10,7 @@ from repro.instrument.probes import (
     TRANSACTION_BEGIN,
     TRANSACTION_END,
 )
-from repro.kernel import MS
+from repro.kernel import MS, NS, Simulator
 from repro.core import CommandType
 from repro.trace import (
     Span,
@@ -222,3 +223,19 @@ class TestPlatformIntegration:
         doc = tracer_doc = _traced_platform().to_dict()
         assert json.loads(json.dumps(doc)) == tracer_doc
         assert len(doc["transactions"]) == 4
+
+
+class TestCausalMemory:
+    @staticmethod
+    def _notifier_entries(cycles):
+        sim = Simulator()
+        clock = Clock(sim, "clock", period=10 * NS)
+        tracer = SpanTracer().attach(sim.probes)
+        sim.run(cycles * 10 * NS)
+        assert clock.cycle_count == cycles
+        return len(tracer._last_notifier)
+
+    def test_last_notifier_stays_bounded_on_a_free_running_clock(self):
+        # Every Timeout wait of a process reuses one timer Event, so the
+        # notify->wake map does not grow with the number of cycles.
+        assert self._notifier_entries(1000) == self._notifier_entries(4000)
