@@ -59,11 +59,14 @@ from .flow import (
     standard_flow_builders,
 )
 from .kernel import MS, NS
+from .lint import cli as lint_cli
 from .trace import VcdTracer, WaveformCapture, render
 
 
 #: Seed used when the user does not pass ``--seed``.
 DEFAULT_SEED = 11
+#: The swap-matrix commands' seed when the user does not pass ``--seed``.
+MATRIX_SEED = 55
 
 
 def _effective_seed(args: argparse.Namespace) -> int:
@@ -120,21 +123,26 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     return 0 if report.consistent else 1
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
+def _run_matrix(args: argparse.Namespace, telemetry: bool = False):
+    """The swap matrix behind both ``matrix`` and ``report --matrix``."""
+    from .fault.runner import resolve_workers
     from .iface.matrix import DEFAULT_BUSES, run_swap_matrix
 
-    from .fault.runner import resolve_workers
-
     buses = DEFAULT_BUSES if args.bus is None else (_effective_bus(args),)
-    report = run_swap_matrix(
-        seed=args.seed if args.seed is not None else 55,
+    return run_swap_matrix(
+        seed=args.seed if args.seed is not None else MATRIX_SEED,
         n_commands=args.commands,
         buses=buses,
         config=_platform_config(args),
         fault_runs=args.fault_runs,
         fault_workers=resolve_workers(args.workers)
         if args.fault_runs else 1,
+        telemetry=telemetry,
     )
+
+
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    report = _run_matrix(args)
     print(report.render())
     return 0 if report.all_consistent else 1
 
@@ -186,8 +194,6 @@ def _cmd_library(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint import cli as lint_cli
-
     # The global --seed (default None) shadows the subcommand default
     # in the shared namespace; resolve it before delegating.
     args.seed = _effective_seed(args)
@@ -250,20 +256,7 @@ def _cmd_report_matrix(args: argparse.Namespace) -> int:
     latency quantiles per bus family x refinement level)."""
     import json
 
-    from .fault.runner import resolve_workers
-    from .iface.matrix import DEFAULT_BUSES, run_swap_matrix
-
-    buses = DEFAULT_BUSES if args.bus is None else (_effective_bus(args),)
-    matrix = run_swap_matrix(
-        seed=args.seed if args.seed is not None else 55,
-        n_commands=args.commands,
-        buses=buses,
-        config=_platform_config(args),
-        fault_runs=args.fault_runs,
-        fault_workers=resolve_workers(args.workers)
-        if args.fault_runs else 1,
-        telemetry=True,
-    )
+    matrix = _run_matrix(args, telemetry=True)
     card = matrix.scorecard()
     if card is None:  # every cell errored before scoring
         print(matrix.render())
@@ -297,7 +290,8 @@ def main(argv: "list[str] | None" = None) -> int:
         description="High Level Communication Synthesis reproduction demos",
     )
     parser.add_argument("--seed", type=int, default=None,
-                        help=f"workload seed (default {DEFAULT_SEED}); "
+                        help=f"workload seed (default {DEFAULT_SEED}; matrix "
+                             f"and report --matrix default to {MATRIX_SEED}); "
                              "identical seeds reproduce identical runs")
     parser.add_argument("--commands", type=int, default=20,
                         help="commands per application (default 20)")
@@ -327,8 +321,6 @@ def main(argv: "list[str] | None" = None) -> int:
                            help="output VCD path")
     sub.add_parser("library", help="list interface library contents")
     lint = sub.add_parser("lint", help="run the static design rules")
-    from .lint import cli as lint_cli
-
     lint_cli.add_arguments(lint)
     report = sub.add_parser("report", help="print the synthesis report")
     report.add_argument("--verilog", action="store_true",

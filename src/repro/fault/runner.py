@@ -53,6 +53,12 @@ from .campaign import (
     execute_run,
     plan_campaign,
 )
+from .durable import (
+    CampaignJournal,
+    ResultCache,
+    campaign_content_hash,
+    campaign_fingerprint,
+)
 from .spec import CampaignSpec, RunSpec
 
 #: Environment variable capping worker counts machine-wide. It is a
@@ -473,14 +479,6 @@ def run_campaign(
     prior: dict[int, RunOutcome] = {}
 
     if journal_dir is not None or resume_from is not None or cache_dir is not None:
-        # Imported lazily so the journal-off hot path stays untouched.
-        from .durable import (
-            CampaignJournal,
-            ResultCache,
-            campaign_content_hash,
-            campaign_fingerprint,
-        )
-
         content_hash = campaign_content_hash(spec, max_runs)
         fingerprint = campaign_fingerprint(spec, max_runs)
         if cache_dir is not None:
