@@ -132,7 +132,12 @@ class CompiledChannel(Module):
     # -- netlist binding -------------------------------------------------------
 
     def bind_netlist(self, module: RtlModule) -> None:
-        """Compile the group's channel IR into this channel's core."""
+        """Compile the group's channel IR into this channel's core.
+
+        The generated code is shared by every channel bound to an equal
+        netlist (see :func:`compile_module`); each channel gets its own
+        register file.
+        """
         n = self._n_clients
         external = ["arb_grant_index"] + [f"eligible_{i}" for i in range(n)]
         self._netlist = compile_module(

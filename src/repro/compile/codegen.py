@@ -44,6 +44,7 @@ import typing
 from ..analyze.schedule import EvalSchedule, EvaluationError, levelize
 from ..errors import ReproError
 from ..synthesis import ir
+from ..synthesis.cache import NETLIST_CACHE
 
 
 class CodegenError(ReproError):
@@ -285,7 +286,29 @@ def compile_module(
     :param skip_register_prefixes: registers (by name prefix) owned by
         an externally-substituted cone; their clocked assigns are
         dropped and they carry no state in the compiled register file.
+
+    A :class:`CompiledNetlist` is stateless, so it is generated once
+    per process: an equal netlist (same fingerprint) compiled with the
+    same arguments returns the object from
+    :data:`~repro.synthesis.cache.NETLIST_CACHE`. Failures are not
+    cached.
     """
+    external = tuple(external)
+    observe = tuple(observe)
+    skip_register_prefixes = tuple(skip_register_prefixes)
+    return NETLIST_CACHE.get(
+        ("compiled", module.fingerprint(), external, observe,
+         skip_register_prefixes),
+        lambda: _lower(module, external, observe, skip_register_prefixes),
+    )
+
+
+def _lower(
+    module: ir.RtlModule,
+    external: tuple[str, ...],
+    observe: tuple[str, ...],
+    skip_register_prefixes: tuple[str, ...],
+) -> CompiledNetlist:
     result = levelize(module)
     if not result.ok:
         loops = "; ".join(loop.describe() for loop in result.loops)

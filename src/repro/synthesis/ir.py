@@ -14,6 +14,7 @@ RT-behavioural level" the ODETTE tool produces.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import typing
 
@@ -483,6 +484,40 @@ class RtlModule:
                         fsm.state_register,
                         transition.condition,
                     )
+
+    # -- identity --------------------------------------------------------------
+
+    def fingerprint(self) -> str:
+        """sha256 hex digest of the module's content.
+
+        Two modules with equal fingerprints emit the same HDL, lint the
+        same and compile to the same code, so everything derived from a
+        netlist can be looked up by it. The canonical dump covers the
+        name, ports, nets, registers (width and reset), assigns and
+        clocked assigns (``repr`` of each expression, enable), FSMs
+        (states, reset, transitions, Moore outputs) and every comment.
+        Expressions name the nets they read, which identifies them
+        because names are unique within a module.
+        """
+        dump: list[tuple] = [("module", self.name, self.comment)]
+        dump.extend(("port", p.name, p.direction, p.width, p.comment)
+                    for p in self.ports)
+        dump.extend(("net", n.name, n.width, n.comment) for n in self.nets)
+        dump.extend(("reg", r.name, r.width, r.reset_value, r.comment)
+                    for r in self.registers)
+        dump.extend(("assign", a.target.name, repr(a.expr), a.comment)
+                    for a in self.assigns)
+        dump.extend(("clocked", c.target.name, repr(c.expr), repr(c.enable),
+                     c.comment) for c in self.clocked_assigns)
+        for fsm in self.fsms:
+            dump.append(("fsm", fsm.name, tuple(fsm.states), fsm.reset_state,
+                         fsm.state_register.name))
+            dump.extend(("arc", t.source, repr(t.condition), t.target)
+                        for t in fsm.transitions)
+            dump.extend(("moore", state, tuple((net.name, value)
+                                               for net, value in outputs))
+                        for state, outputs in fsm.moore_outputs.items())
+        return hashlib.sha256(repr(dump).encode()).hexdigest()
 
     # -- resource accounting ---------------------------------------------------
 

@@ -46,11 +46,6 @@ class SynthesisReport:
         self.channels: list[dict] = []
         self.dispatches: list[DispatchInfo] = []
 
-    def add_module(self, module: RtlModule) -> ModuleReport:
-        report = ModuleReport(module)
-        self.modules.append(report)
-        return report
-
     def add_channel_info(self, info: dict) -> None:
         self.channels.append(info)
 

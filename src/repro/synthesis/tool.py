@@ -11,6 +11,7 @@ served by the synthesized channel from then on.
 
 from __future__ import annotations
 
+import copy
 import typing
 
 from ..errors import SynthesisError
@@ -20,12 +21,13 @@ from ..kernel.simulator import Simulator
 from ..osss.global_object import GlobalObject
 from ..osss.polymorphism import PolymorphicVar
 from .arbiter_synth import RtlStaticPriorityPolicy
+from .cache import NETLIST_CACHE
 from .channel_synth import build_channel_ir
 from .emit_verilog import emit_verilog
 from .emit_vhdl import emit_vhdl
 from .object_synth import build_object_ir, estimate_state_bits
 from .poly_synth import synthesize_dispatch
-from .report import SynthesisReport
+from .report import ModuleReport, SynthesisReport
 from .rtl_channel import RtlMethodChannel
 
 
@@ -38,10 +40,14 @@ class SynthesisConfig:
 
     :param body_cycles: clocks charged per method-body execution.
     :param data_width: width of the opaque data buses in the netlists.
-    :param emit_hdl: generate Verilog/VHDL text (skip to save time in
-        large parameter sweeps).
-    :param lint_ir: run the IR design rules over every generated netlist
-        before HDL emission; error-severity findings abort synthesis.
+    :param emit_hdl: attach Verilog/VHDL text to the result. The text
+        of a netlist is generated once per process and looked up by its
+        fingerprint afterwards, so this only matters the first time a
+        design is synthesized.
+    :param lint_ir: check every generated netlist against the IR design
+        rules before HDL emission; error-severity findings abort
+        synthesis. A netlist that passed is not linted again in the
+        same process until the set of IR rules changes.
     :param backend: execution backend for the synthesized channels —
         ``"interpreted"`` (the generator-based RTL channel) or
         ``"compiled"`` (the channel IR lowered to generated Python by
@@ -143,18 +149,36 @@ def set_synthesis_sink(
     return previous
 
 
-def _lint_group_netlists(group_name: str, modules: list) -> None:
-    """IR sanity pass over one group's netlists; errors abort synthesis."""
+def _lint_group_netlists(
+    group_name: str,
+    modules: list,
+    fingerprints: "list[str] | None" = None,
+) -> None:
+    """IR sanity pass over one group's netlists; errors abort synthesis.
+
+    A pass is cached under the netlist's fingerprint and the active IR
+    rule ids; a failure is not, so it raises on every call.
+    """
     # Imported lazily: the lint package imports synthesis.ir.
+    from ..lint.engine import IR, default_registry
     from ..lint.runner import lint_rtl_module
 
-    for module in modules:
+    def lint(module) -> bool:
         report = lint_rtl_module(module)
         if report.has_errors:
             raise SynthesisError(
                 f"group {group_name!r}: netlist {module.name!r} failed the "
                 "IR design rules:\n" + report.render()
             )
+        return True
+
+    rule_ids = tuple(rule.rule_id for rule in default_registry.rules(IR))
+    if fingerprints is None:
+        fingerprints = [module.fingerprint() for module in modules]
+    for module, fingerprint in zip(modules, fingerprints):
+        NETLIST_CACHE.get(
+            ("lint", fingerprint, rule_ids), lambda: lint(module)
+        )
 
 
 def discover_groups(sim: Simulator) -> list[list[GlobalObject]]:
@@ -249,8 +273,6 @@ def synthesize_communication(
             space.methods,
             channel.method_names,
         )
-        report.add_module(channel_ir)
-        report.add_module(object_ir)
         # Polymorphic members of the shared state lower to tag+mux
         # dispatch structures (the SystemC+ late-binding feature).
         dispatch_irs = []
@@ -262,7 +284,6 @@ def synthesize_communication(
                     f"poly{index}_{attr_name.lstrip('_')}",
                 )
                 dispatch_irs.append(dispatch_module)
-                report.add_module(dispatch_module)
                 report.add_dispatch(dispatch_info)
         report.add_channel_info(
             {
@@ -274,17 +295,32 @@ def synthesize_communication(
                 "state_bits": sum(estimate_state_bits(space.state).values()),
             }
         )
+        # Everything derived from a netlist is looked up by content:
+        # repeated synthesis of one design lints, measures and emits
+        # each netlist once per process.
+        modules = [channel_ir, object_ir, *dispatch_irs]
+        fingerprints = [module.fingerprint() for module in modules]
+        for module, fingerprint in zip(modules, fingerprints):
+            row = NETLIST_CACHE.get(
+                ("report", fingerprint), lambda: ModuleReport(module)
+            )
+            report.modules.append(copy.copy(row))
         if config.lint_ir:
-            _lint_group_netlists(group_name, [channel_ir, object_ir, *dispatch_irs])
+            _lint_group_netlists(group_name, modules, fingerprints)
         verilog = vhdl = ""
         if config.emit_hdl:
-            verilog_parts = [emit_verilog(channel_ir), emit_verilog(object_ir)]
-            vhdl_parts = [emit_vhdl(channel_ir), emit_vhdl(object_ir)]
-            for dispatch_module in dispatch_irs:
-                verilog_parts.append(emit_verilog(dispatch_module))
-                vhdl_parts.append(emit_vhdl(dispatch_module))
-            verilog = "\n\n".join(verilog_parts)
-            vhdl = "\n\n".join(vhdl_parts)
+            verilog = "\n\n".join(
+                NETLIST_CACHE.get(
+                    ("verilog", fingerprint), lambda: emit_verilog(module)
+                )
+                for module, fingerprint in zip(modules, fingerprints)
+            )
+            vhdl = "\n\n".join(
+                NETLIST_CACHE.get(
+                    ("vhdl", fingerprint), lambda: emit_vhdl(module)
+                )
+                for module, fingerprint in zip(modules, fingerprints)
+            )
         result.groups.append(
             SynthesizedGroup(
                 group_name, list(handles), channel, channel_ir, object_ir,
