@@ -1,6 +1,6 @@
 """CI gate: the compiled backend's speedup over the interpreted one.
 
-Three measurements, from the layer where the codegen acts outward:
+Two measurements, from the layer where the codegen acts outward:
 
 * **netlist level** — per-evaluation cost of the generated code
   (``CompiledNetlist.comb`` / ``.cycle``) against the interpreted
@@ -11,8 +11,6 @@ Three measurements, from the layer where the codegen acts outward:
   end to end under both backends. Recorded honestly: the run is
   dominated by the pin-level bus protocol (unchanged by this backend),
   so the end-to-end ratio hovers near 1×.
-* **campaign level** — serial fault-campaign runs/s under both
-  backends on the demo PCI campaign, same caveat.
 
 The floor lives in ``benchmarks/compile_baseline.json``; speedups are
 dimensionless ratios of two measurements on the same host, so no
@@ -43,8 +41,6 @@ from repro.analyze import levelize  # noqa: E402
 from repro.compile import compile_module  # noqa: E402
 from repro.core import CommandType  # noqa: E402
 from repro.core.workload import _Lcg  # noqa: E402
-from repro.fault.runner import run_campaign  # noqa: E402
-from repro.fault.spec import demo_campaign_spec  # noqa: E402
 from repro.flow import PciPlatformConfig, build_platform  # noqa: E402
 from repro.kernel import MS, NS  # noqa: E402
 from repro.synthesis.tool import set_synthesis_sink  # noqa: E402
@@ -153,39 +149,16 @@ def measure_platform() -> dict:
     }
 
 
-def measure_campaign() -> dict:
-    """Serial demo-campaign runs/s, both backends."""
-
-    def runs_per_second(backend):
-        spec = demo_campaign_spec(platform="pci", seed=11, runs=6)
-        spec.synthesize = True
-        spec.backend = backend
-        started = time.perf_counter()
-        result = run_campaign(spec, workers=1, max_runs=6)
-        elapsed = time.perf_counter() - started
-        return len(result.outcomes) / elapsed
-
-    interpreted = max(runs_per_second("interpreted") for __ in range(2))
-    compiled = max(runs_per_second("compiled") for __ in range(2))
-    return {
-        "interpreted_runs_per_s": interpreted,
-        "compiled_runs_per_s": compiled,
-        "speedup": compiled / interpreted,
-    }
-
-
 def measure() -> dict:
     return {
         "netlist": measure_netlist(),
         "platform_burst16": measure_platform(),
-        "campaign_serial": measure_campaign(),
     }
 
 
 def _render(result: dict) -> str:
     netlist = result["netlist"]
     platform = result["platform_burst16"]
-    campaign = result["campaign_serial"]
     return "\n".join([
         f"netlist ({netlist['comb_steps']} comb steps, best of {REPEATS}):",
         f"  interpreted evaluate: "
@@ -201,10 +174,6 @@ def _render(result: dict) -> str:
         f"  interpreted {platform['interpreted_seconds'] * 1e3:7.1f} ms   "
         f"compiled {platform['compiled_seconds'] * 1e3:7.1f} ms   "
         f"({platform['speedup']:.2f}x)",
-        "fault campaign, serial (same caveat):",
-        f"  interpreted {campaign['interpreted_runs_per_s']:6.1f} runs/s  "
-        f"compiled {campaign['compiled_runs_per_s']:6.1f} runs/s  "
-        f"({campaign['speedup']:.2f}x)",
     ])
 
 

@@ -20,10 +20,10 @@ The package provides:
 * :mod:`repro.trace` — VCD dumping and ASCII waveform rendering;
 * :mod:`repro.instrument` — the probe bus shared by every observer, with
   metrics aggregation and wall-clock profiling (zero cost when off);
-* :mod:`repro.compile` — the compiled fast-sim backend: synthesized
-  netlists lowered to generated Python, selected with
-  ``backend="compiled"`` and equivalence-gated against the
-  interpreted channel.
+* :mod:`repro.compile` — synthesized netlists lowered to generated
+  Python: the swap matrix's ``compiled`` level, checked for
+  equivalence against the interpreted channel, and the
+  ``repro compile`` netlist cross-check.
 """
 
 from ._version import __version__

@@ -5,9 +5,10 @@ straight-line Python and packages the result as a
 :class:`CompiledChannel`, a drop-in replacement for the interpreted
 :class:`~repro.synthesis.rtl_channel.RtlMethodChannel` selected with
 ``backend="compiled"`` on :class:`~repro.synthesis.tool.SynthesisConfig`
-(or the platform/flow/CLI knobs layered above it). The two backends are
-cycle- and commit-equivalent by construction; the equivalence gate is
-enforced by the backend-parity test suite.
+(or ``PciPlatformConfig.backend``). The swap matrix's ``compiled`` level
+is the one place above the platform builder that selects it. The two
+backends are cycle- and commit-equivalent by construction; the
+equivalence gate is enforced by the backend-parity test suite.
 """
 
 from .codegen import CodegenError, CompiledNetlist, compile_module

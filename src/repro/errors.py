@@ -57,15 +57,6 @@ class GuardTimeoutError(ReproError):
     """A guarded method call did not complete within the allotted time."""
 
 
-class CheckpointError(ReproError):
-    """A kernel checkpoint could not be taken, restored or verified.
-
-    Raised for non-quiescent snapshots (pending guarded calls), restores
-    onto an incompatible hierarchy, and replay divergence — a rebuilt
-    platform that does not reproduce the checkpoint it was rolled back to.
-    """
-
-
 class JournalError(ReproError):
     """A campaign journal could not be created, read or resumed.
 

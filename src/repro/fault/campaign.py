@@ -203,18 +203,10 @@ def build_campaign_platform(spec: CampaignSpec) -> PlatformBundle:
         from ..resilience import ResilienceConfig
 
         config.resilience = ResilienceConfig.default(spec.seed)
-    synthesize = getattr(spec, "synthesize", False)
-    if synthesize:
-        # Lowered channels, per-spec backend; applies to golden, probe
-        # and faulty builds alike so the comparison stays like-for-like.
-        from ..synthesis.tool import SynthesisConfig
-
-        return _BUILDERS[spec.platform](
-            workloads, config, synthesize=True,
-            synthesis_config=SynthesisConfig(
-                backend=getattr(spec, "backend", "interpreted")
-            ),
-        )
+    if spec.synthesize:
+        # Lowered channels for golden, probe and faulty builds alike, so
+        # the comparison stays like-for-like.
+        return _BUILDERS[spec.platform](workloads, config, synthesize=True)
     return _BUILDERS[spec.platform](workloads, config)
 
 
@@ -396,11 +388,7 @@ def execute_run(
             recovery_latency = int(sum(latencies) / len(latencies))
     score = None
     if score_probe is not None:
-        level = (
-            spec.backend if spec.synthesize else "functional"
-        )
-        if spec.synthesize and spec.backend == "interpreted":
-            level = "synthesized"
+        level = "synthesized" if spec.synthesize else "functional"
         score = score_probe.score(
             spec.platform, level, run.label
         ).to_dict()

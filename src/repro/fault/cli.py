@@ -65,12 +65,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
              "(golden and faulty alike)",
     )
     parser.add_argument(
-        "--backend", choices=("interpreted", "compiled"),
-        default="interpreted",
-        help="execution backend for synthesized channels (compiled "
-             "implies --synthesize; default interpreted)",
-    )
-    parser.add_argument(
         "--telemetry", action="store_true",
         help="attach a communication scorecard probe to every run and "
              "report campaign-level utilization/throughput/latency "
@@ -141,11 +135,11 @@ def _build_monitor(args: argparse.Namespace):
 
 def run(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 11
-    synthesize = args.synthesize or args.backend == "compiled"
-    if synthesize and args.platform == "functional":
+    if args.synthesize and args.platform == "functional":
         print(
             "fault: the functional platform has no clock to synthesize "
-            "against; use --platform pci, wishbone, axi4lite or tlmgp"
+            "against; use --platform pci, wishbone, axi4lite or tlmgp",
+            file=sys.stderr,
         )
         return 2
     if args.resume and not args.journal:
@@ -157,8 +151,7 @@ def run(args: argparse.Namespace) -> int:
     spec.wall_timeout = args.timeout
     spec.trace_spans = args.trace_spans
     spec.resilience = args.resilience
-    spec.synthesize = synthesize
-    spec.backend = args.backend
+    spec.synthesize = args.synthesize
     spec.telemetry = args.telemetry
     spec.flight_record_dir = args.flight_record
     if args.inject_crash:

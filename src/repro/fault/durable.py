@@ -7,7 +7,7 @@ runner three durability primitives:
 * :class:`CampaignJournal` — a crash-safe append-only JSONL journal.
   The first line is an fsync'd header binding the file to the
   campaign's **content hash** (spec + design builder id + seed +
-  backend + repro version); every completed
+  repro version); every completed
   :class:`~repro.fault.campaign.RunOutcome` is then appended as one
   sorted-key JSON line wrapped in a CRC32 envelope and fsync'd, so a
   parent SIGKILL loses at most the line being written. On open for
@@ -19,9 +19,8 @@ runner three durability primitives:
 * :func:`campaign_content_hash` / :func:`campaign_fingerprint` — the
   spec-hash contract. Everything that determines campaign behaviour
   (every :class:`~repro.fault.spec.FaultSpec` line, platform/builder,
-  seed, backend, workload knobs, the ``max_runs`` truncation) is folded
-  into one canonical document hashed with
-  :func:`~repro.resilience.checkpoint.stable_content_hash`. A journal
+  seed, workload knobs, the ``max_runs`` truncation) is folded into one
+  canonical document hashed with :func:`stable_content_hash`. A journal
   or cache entry is only ever replayed against the exact campaign that
   wrote it.
 
@@ -43,6 +42,7 @@ with payload ``type`` one of ``header``, ``outcome`` or ``event``
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -51,7 +51,6 @@ import zlib
 
 from .._version import __version__
 from ..errors import JournalError
-from ..resilience.checkpoint import stable_content_hash
 from .campaign import (
     BENIGN,
     DETECTED,
@@ -77,6 +76,21 @@ CACHEABLE_CLASSIFICATIONS = (DETECTED, SILENT, BENIGN, RECOVERED)
 # -- spec-hash contract ----------------------------------------------------------
 
 
+def stable_content_hash(document: object) -> str:
+    """SHA-256 hex digest of a canonical JSON encoding of *document*.
+
+    The encoding is sorted-key, compact-separator JSON with non-JSON
+    leaves rendered through ``str``, so the digest is stable across
+    processes and sessions for any plain-data tree. Journal spec hashes
+    and result-cache keys are both this digest of
+    :func:`campaign_fingerprint`.
+    """
+    payload = json.dumps(
+        document, sort_keys=True, separators=(",", ":"), default=str
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def spec_document(spec: CampaignSpec) -> dict:
     """Canonical plain-data form of every behaviour-affecting spec field.
 
@@ -99,7 +113,6 @@ def spec_document(spec: CampaignSpec) -> dict:
         "resilience": spec.resilience,
         "crash_run_ids": sorted(spec.crash_run_ids),
         "synthesize": spec.synthesize,
-        "backend": spec.backend,
         "telemetry": spec.telemetry,
         "faults": [fault.to_dict() for fault in spec.faults],
     }
@@ -119,7 +132,6 @@ def campaign_fingerprint(
         "repro_version": __version__,
         "builder": builder_id(spec),
         "seed": spec.seed,
-        "backend": spec.backend,
         "max_runs": max_runs,
         "spec": spec_document(spec),
     }
@@ -207,7 +219,6 @@ class CampaignJournal:
             "campaign": spec.name,
             "platform": spec.platform,
             "seed": spec.seed,
-            "backend": spec.backend,
             "total_runs": total_runs,
             "repro_version": __version__,
         })
@@ -236,7 +247,7 @@ class CampaignJournal:
                 f"journal at {path} was written for a different campaign "
                 f"(journal spec hash {str(found)[:12]}..., this campaign "
                 f"{expected[:12]}...); refusing to resume — check the "
-                "spec/seed/backend/--runs arguments, or start over "
+                "spec/seed/--runs arguments, or start over "
                 "without --resume"
             )
         if truncated:

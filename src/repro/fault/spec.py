@@ -101,7 +101,6 @@ class CampaignSpec:
         resilience: bool = False,
         crash_run_ids: typing.Sequence[int] = (),
         synthesize: bool = False,
-        backend: str = "interpreted",
         telemetry: bool = False,
         flight_record_dir: "str | None" = None,
         flight_record_capacity: int = 512,
@@ -112,16 +111,6 @@ class CampaignSpec:
             )
         if not faults:
             raise FaultInjectionError("a campaign needs at least one FaultSpec")
-        if backend not in ("interpreted", "compiled"):
-            raise FaultInjectionError(
-                f"unknown backend {backend!r}; expected 'interpreted' or "
-                "'compiled'"
-            )
-        if backend == "compiled" and not synthesize:
-            raise FaultInjectionError(
-                "backend='compiled' needs synthesize=True: the compiled "
-                "core only exists for synthesized channels"
-            )
         if synthesize and platform == "functional":
             raise FaultInjectionError(
                 "the functional platform has no clock to synthesize "
@@ -159,10 +148,8 @@ class CampaignSpec:
         self.crash_run_ids = tuple(crash_run_ids)
         #: apply communication synthesis to every platform the campaign
         #: builds (golden, probe and faulty runs alike, so traces stay
-        #: comparable), and pick the execution backend for the lowered
-        #: channels: "interpreted" or "compiled" (repro.compile).
+        #: comparable).
         self.synthesize = synthesize
-        self.backend = backend
         #: attach a communication ScorecardProbe to every run and carry
         #: the per-run gauges (as a picklable dict) on the outcomes;
         #: reports merge them into campaign-level digests that are

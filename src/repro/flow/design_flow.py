@@ -26,7 +26,6 @@ result — the programmatic equivalent of walking Figure 2 top to bottom.
 
 from __future__ import annotations
 
-import inspect
 import time
 import typing
 
@@ -102,12 +101,6 @@ class DesignFlow:
         (suppressions, strictness); default policy when ``None``.
     :param probe_bus: bus that receives a ``flow.stage`` probe per
         finished stage; falls back to the process-wide default bus.
-    :param backend: execution backend for the synthesized channels,
-        ``"interpreted"`` (default) or ``"compiled"``. Forwarded to the
-        implementation builder's ``backend`` keyword when it accepts
-        one (:func:`~repro.flow.platforms.standard_flow_builders` does);
-        asking for a non-default backend from a builder without the
-        keyword is an error rather than a silent fallback.
     """
 
     def __init__(
@@ -117,41 +110,12 @@ class DesignFlow:
         implementation_builder: ImplementationBuilder,
         lint_config: LintConfig | None = None,
         probe_bus: ProbeBus | None = None,
-        backend: str = "interpreted",
     ) -> None:
-        if backend not in ("interpreted", "compiled"):
-            raise RefinementError(
-                f"unknown backend {backend!r}; expected 'interpreted' or "
-                "'compiled'"
-            )
         self.specification = dict(specification)
         self.functional_builder = functional_builder
         self.implementation_builder = implementation_builder
         self.lint_config = lint_config
         self._probe_bus = probe_bus
-        self.backend = backend
-
-    def _build_implementation(
-        self, synthesize: bool
-    ) -> tuple[PlatformHandle, typing.Optional[object]]:
-        """Call the implementation builder, forwarding the backend
-        choice when the builder can take it."""
-        if not synthesize or self.backend == "interpreted":
-            return self.implementation_builder(synthesize)
-        try:
-            accepts_backend = "backend" in inspect.signature(
-                self.implementation_builder
-            ).parameters
-        except (TypeError, ValueError):
-            accepts_backend = False
-        if not accepts_backend:
-            raise RefinementError(
-                f"backend {self.backend!r} requested but the "
-                "implementation builder takes no 'backend' keyword"
-            )
-        return self.implementation_builder(  # type: ignore[call-arg]
-            synthesize, backend=self.backend
-        )
 
     def run(self, max_time: int) -> FlowReport:
         """Execute every stage; raises on hard failures."""
@@ -175,7 +139,7 @@ class DesignFlow:
                 self.functional_builder().sim, self.lint_config,
                 label="functional",
             ))
-            platform, __ = self._build_implementation(False)
+            platform, __ = self.implementation_builder(False)
             lint.extend(lint_design(
                 platform.sim, self.lint_config, label="implementation",
             ))
@@ -187,7 +151,7 @@ class DesignFlow:
                 )
 
         with _stage(report, self._probe_bus, "refine communication (library swap)") as stage:
-            platform, __ = self._build_implementation(False)
+            platform, __ = self.implementation_builder(False)
             report.implementation_result = platform.run(max_time)
             stage.detail = repr(report.implementation_result)
 
@@ -203,12 +167,10 @@ class DesignFlow:
             stage.detail = f"{report.refinement_check.compared_items} items equal"
 
         with _stage(report, self._probe_bus, "communication synthesis") as stage:
-            platform, synthesis = self._build_implementation(True)
+            platform, synthesis = self.implementation_builder(True)
             report.synthesis_result = synthesis
             report.post_synthesis_result = platform.run(max_time)
-            stage.detail = (
-                f"backend={self.backend} {report.post_synthesis_result!r}"
-            )
+            stage.detail = repr(report.post_synthesis_result)
 
         with _stage(report, self._probe_bus, "post-synthesis netlist analysis") as stage:
             # Gate: the synthesized netlists must pass the dataflow

@@ -494,15 +494,9 @@ def standard_flow_builders(
     def functional_builder():
         return build_functional_platform(workloads, config).handle
 
-    def implementation_builder(synthesize: bool, backend: str = "interpreted"):
-        synthesis_config = None
-        if synthesize:
-            from ..synthesis.tool import SynthesisConfig
-
-            synthesis_config = SynthesisConfig(backend=backend)
+    def implementation_builder(synthesize: bool):
         bundle = build_platform(
-            workloads, config, bus=bus, synthesize=synthesize,
-            synthesis_config=synthesis_config,
+            workloads, config, bus=bus, synthesize=synthesize
         )
         return bundle.handle, bundle.synthesis
 

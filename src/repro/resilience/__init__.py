@@ -13,9 +13,9 @@ Four levels:
 * **protocol recovery** (:class:`InterfaceRecovery`) — transaction
   replay inside the PCI/Wishbone interface IPs for master aborts, bus
   errors and PERR#-style read-parity mismatches.
-* **kernel watchdog + checkpoint/rollback** (:mod:`.watchdog`,
-  :mod:`.checkpoint`) — portable in-sim run supervision and
-  deterministic replay-based rollback.
+* **kernel watchdog** (:mod:`.watchdog`) — portable in-sim run
+  supervision: stall and deadline triggers that stop the run or abort
+  its pending guarded calls.
 * **self-healing campaigns** — consumed by :mod:`repro.fault`: worker
   supervision, the ``recovered`` outcome class, recovery-latency stats.
 
@@ -28,13 +28,6 @@ from __future__ import annotations
 
 import typing
 
-from .checkpoint import (
-    KernelCheckpoint,
-    ReplayCheckpointer,
-    capture,
-    restore,
-    stable_content_hash,
-)
 from .policy import (
     ALL_METHODS,
     RetryPolicy,
@@ -114,18 +107,13 @@ __all__ = [
     "ALL_METHODS",
     "APPLICATION_METHODS",
     "InterfaceRecovery",
-    "KernelCheckpoint",
     "RecoveryEpisode",
     "RecoveryLog",
-    "ReplayCheckpointer",
     "ResilienceConfig",
     "RetryPolicy",
     "RunWatchdog",
     "apply_resilience",
     "attach_retry_policy",
-    "capture",
     "communication_progress",
     "default_guard_policy",
-    "restore",
-    "stable_content_hash",
 ]

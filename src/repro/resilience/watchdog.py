@@ -15,8 +15,8 @@ and lets it watch two things at once:
 On firing it either stops the scheduler (``action="stop"``) or aborts
 every pending guarded call by completing it with a
 :class:`~repro.errors.GuardTimeoutError` (``action="abort"``), which
-surfaces the deadlock in the *callers* — the hook checkpoint/re-run
-recovery builds on.
+surfaces the deadlock in the *callers*, where retry policies can act
+on it.
 
 The watchdog's pending timeout keeps the scheduler event queue non-empty
 for as long as it is armed; pair it with a platform that stops itself

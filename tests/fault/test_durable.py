@@ -9,7 +9,6 @@ at all.
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -31,7 +30,12 @@ from repro.fault import (
     resolve_workers,
     run_campaign,
 )
-from repro.fault.durable import decode_line, encode_line, journal_path
+from repro.fault.durable import (
+    decode_line,
+    encode_line,
+    journal_path,
+    stable_content_hash,
+)
 
 
 def _spec(seed=19, **overrides):
@@ -55,6 +59,16 @@ def _spec(seed=19, **overrides):
 
 def _canonical(result):
     return report_as_json(result, canonical=True)
+
+
+def _pre_removal_hash(spec):
+    """The content hash campaigns had while specs carried a ``backend``
+    field: the same fingerprint plus ``"backend": "interpreted"`` at the
+    top level and in the spec document."""
+    document = campaign_fingerprint(spec)
+    document["backend"] = "interpreted"
+    document["spec"] = {**document["spec"], "backend": "interpreted"}
+    return stable_content_hash(document)
 
 
 class TestContentHash:
@@ -242,6 +256,41 @@ class TestResume:
         got = merged_telemetry(resumed)
         assert want is not None and got is not None
         assert got.to_dict() == {**want.to_dict(), "label": got.label}
+
+
+class TestPreRemovalJournals:
+    """Journals and cache entries keyed by the old backend-carrying hash
+    must refuse or miss, never replay."""
+
+    def test_old_journal_refuses_to_resume(self, tmp_path):
+        spec = _spec()
+        run_campaign(spec, workers=1, journal_dir=str(tmp_path))
+        path = journal_path(str(tmp_path))
+        with open(path, encoding="utf-8") as stream:
+            lines = stream.read().splitlines()
+        header = decode_line(lines[0])
+        old_hash = _pre_removal_hash(spec)
+        assert old_hash != header["spec_hash"]
+        header["spec_hash"] = old_hash
+        header["backend"] = "interpreted"
+        lines[0] = encode_line(header)
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.write("\n".join(lines) + "\n")
+        with pytest.raises(JournalError,
+                           match="written for a different campaign"):
+            run_campaign(spec, workers=1, resume_from=str(tmp_path))
+
+    def test_old_cache_entry_misses(self, tmp_path):
+        spec = _spec()
+        cold = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
+        os.rename(
+            os.path.join(str(tmp_path), cold.content_hash),
+            os.path.join(str(tmp_path), _pre_removal_hash(spec)),
+        )
+        rerun = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
+        assert rerun.cache_hits == 0
+        assert rerun.cache_misses == len(cold.outcomes)
+        assert _canonical(rerun) == _canonical(cold)
 
 
 class TestResultCache:

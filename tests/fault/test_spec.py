@@ -42,6 +42,13 @@ class TestDeclarations:
         with pytest.raises(FaultInjectionError, match="at least one"):
             _spec([])
 
+    def test_functional_platform_cannot_synthesize(self):
+        with pytest.raises(FaultInjectionError, match="functional"):
+            _spec(
+                [FaultSpec("delayed_grant", "*")],
+                platform="functional", synthesize=True,
+            )
+
     def test_workload_seeds_one_per_app(self):
         spec = _spec([FaultSpec("stuck_at", "x")], seed=7, n_apps=3)
         assert spec.workload_seeds() == [7, 8, 9]

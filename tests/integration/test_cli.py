@@ -173,6 +173,19 @@ class TestFaultCli:
         out = capsys.readouterr().out
         assert "detection coverage" in out
 
+    def test_functional_platform_cannot_synthesize(self, capsys):
+        assert main(["fault", "--platform", "functional",
+                     "--synthesize"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no clock to synthesize" in captured.err
+
+    def test_backend_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fault", "--backend", "compiled"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
 
 _EXITING_SCRIPT = """
 import sys
