@@ -58,6 +58,7 @@ from .flow import (
     build_platform,
     standard_flow_builders,
 )
+from .iface import IfaceParams
 from .kernel import MS, NS
 from .lint import cli as lint_cli
 from .trace import VcdTracer, WaveformCapture, render
@@ -81,7 +82,9 @@ def _default_workloads(seed: int, n_commands: int):
 def _platform_config(args: argparse.Namespace, **overrides):
     """A PciPlatformConfig honouring the global --response-capacity."""
     capacity = getattr(args, "response_capacity", None)
-    return PciPlatformConfig(response_capacity=capacity, **overrides)
+    if capacity is not None:
+        overrides["params"] = IfaceParams(response_capacity=capacity)
+    return PciPlatformConfig(**overrides)
 
 
 def _effective_bus(args: argparse.Namespace) -> str:

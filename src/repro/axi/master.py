@@ -184,7 +184,10 @@ class AxiLiteMaster(Module):
             operation.status = status
             operation.complete_time = self.sim.time
             if probes is not None:
-                probes.emit(TRANSACTION_END, self.sim.time, self.path, operation)
+                probes.emit(
+                    TRANSACTION_END, self.sim.time, self.path, operation,
+                    operation.start_time,
+                )
             if status == "ok":
                 self.ops_completed += 1
             done.notify_delta()

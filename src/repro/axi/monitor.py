@@ -84,7 +84,7 @@ class AxiLiteMonitor(Module):
         self.transfers.append(transfer)
         probes = self.sim._probes
         if probes is not None:
-            probes.emit(TRANSACTION_END, self.sim.time, self.path, transfer)
+            probes.emit(TRANSACTION_END, self.sim.time, self.path, transfer, None)
 
     def _watch(self):
         bus = self.bus

@@ -41,13 +41,12 @@ class FunctionalBusInterface(InterfaceElement):
         target: TlmTarget,
         word_latency: int = 0,
         arbiter: Arbiter | None = None,
-        response_capacity: int | None = None,
         channel_cls: type | None = None,
         params: IfaceParams | None = None,
     ) -> None:
         from .bus_interface import BusInterfaceChannel
 
-        super().__init__(parent, name, arbiter, params, response_capacity,
+        super().__init__(parent, name, arbiter, params,
                          channel_cls or BusInterfaceChannel)
         if word_latency < 0:
             raise SimulationError(f"word latency must be >= 0, got {word_latency}")
@@ -64,7 +63,8 @@ class FunctionalBusInterface(InterfaceElement):
                 # Each service gets a fresh id (the same CommandType may
                 # be replayed by a repeating application).
                 command.txn_id = new_txn_id()
-                probes.emit(TRANSACTION_BEGIN, self.sim.time, self.path, command)
+                begin = self.sim.time
+                probes.emit(TRANSACTION_BEGIN, begin, self.path, command)
             if self.word_latency:
                 yield Timeout(self.word_latency * command.count)
             if command.is_write:
@@ -74,7 +74,9 @@ class FunctionalBusInterface(InterfaceElement):
                     )
                 self.words_transferred += command.count
                 if probes is not None:
-                    probes.emit(TRANSACTION_END, self.sim.time, self.path, command)
+                    probes.emit(
+                        TRANSACTION_END, self.sim.time, self.path, command, begin
+                    )
             else:
                 words = [
                     self.target.read_word(command.address + 4 * i)
@@ -82,7 +84,9 @@ class FunctionalBusInterface(InterfaceElement):
                 ]
                 self.words_transferred += command.count
                 if probes is not None:
-                    probes.emit(TRANSACTION_END, self.sim.time, self.path, command)
+                    probes.emit(
+                        TRANSACTION_END, self.sim.time, self.path, command, begin
+                    )
                 response = DataType(words, "ok")
                 response.corr_id = command.corr_id
                 yield from self.channel.call("put_response", epoch, response)

@@ -46,7 +46,6 @@ class PciBusInterface(InterfaceElement):
         clk: Signal,
         master_index: int = 0,
         arbiter: Arbiter | None = None,
-        response_capacity: int | None = None,
         channel_cls: type | None = None,
         params: IfaceParams | None = None,
     ) -> None:
@@ -54,7 +53,7 @@ class PciBusInterface(InterfaceElement):
 
         if params is None:
             params = IfaceParams(data_width=bus.ad_width)
-        super().__init__(parent, name, arbiter, params, response_capacity,
+        super().__init__(parent, name, arbiter, params,
                          channel_cls or BusInterfaceChannel)
         self.check_bus_widths(data_width=bus.ad_width)
         self.bus = bus

@@ -38,7 +38,6 @@ from ..flow.platforms import (
 )
 from ..hdl.resolved import ResolvedSignal
 from ..hdl.signal import Signal
-from ..instrument.metrics import DetectionLog
 from ..core.workload import generate_workload
 from ..osss.global_object import GlobalObject
 from ..resilience.watchdog import RunWatchdog
@@ -258,12 +257,11 @@ def execute_run(
     bundle = build_campaign_platform(spec)
     sim = bundle.handle.sim
     sim.elaborate()
-    # The classifier is a bus subscriber like any other observer: it
-    # collects ``detection`` probes instead of scraping simulator state.
-    detections = DetectionLog().attach(sim.probes)
-    # Span tracing works inside pool workers exactly like detections do:
-    # the worker rebuilds the platform and re-attaches subscribers, so
-    # serial and parallel campaigns produce identical span statistics.
+    # The classifier reads the simulator's own detection log, so a run
+    # with no observers attached never creates a probe bus. Span tracing
+    # works inside pool workers too: the worker rebuilds the platform
+    # and re-attaches subscribers, so serial and parallel campaigns
+    # produce identical span statistics.
     tracer = (
         SpanTracer(causal=False).attach(sim.probes)
         if spec.trace_spans else None
@@ -287,9 +285,7 @@ def execute_run(
     if getattr(spec, "flight_record_dir", None):
         from ..telemetry.recorder import FlightRecorder
 
-        recorder = FlightRecorder(
-            spec.flight_record_capacity
-        ).attach(sim.probes)
+        recorder = FlightRecorder().attach(sim.probes)
         recorder.record(
             "run.start",
             run_id=run.run_id,
@@ -354,8 +350,8 @@ def execute_run(
                 f"{recoveries} recoveries absorbed "
                 f"{fault.activations} activations"
             )
-        elif detections:
-            first = detections.records[0]
+        elif sim.detections:
+            first = sim.detections[0]
             classification = DETECTED
             detail = f"{first.source}: {first.message}"
         elif result.traces != golden.traces:
@@ -409,7 +405,7 @@ def execute_run(
         classification,
         detail,
         activations=fault.activations,
-        detections=len(detections),
+        detections=len(sim.detections),
         wall_seconds=_time.perf_counter() - started,
         sim_time=sim.time,
         spans_assembled=spans_assembled,

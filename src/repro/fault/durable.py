@@ -94,9 +94,9 @@ def stable_content_hash(document: object) -> str:
 def spec_document(spec: CampaignSpec) -> dict:
     """Canonical plain-data form of every behaviour-affecting spec field.
 
-    Observability knobs that cannot change an outcome's content
-    (``flight_record_dir``, ``flight_record_capacity``) are deliberately
-    excluded so turning telemetry dumps on does not invalidate a cache.
+    The observability knob that cannot change an outcome's content
+    (``flight_record_dir``) is deliberately excluded so turning
+    telemetry dumps on does not invalidate a cache.
     """
     return {
         "name": spec.name,

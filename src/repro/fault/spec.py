@@ -103,7 +103,6 @@ class CampaignSpec:
         synthesize: bool = False,
         telemetry: bool = False,
         flight_record_dir: "str | None" = None,
-        flight_record_capacity: int = 512,
     ) -> None:
         if platform not in PLATFORMS:
             raise FaultInjectionError(
@@ -156,11 +155,11 @@ class CampaignSpec:
         #: identical for serial and process-pool execution.
         self.telemetry = telemetry
         #: when set, every run dumps its flight-recorder ring (the last
-        #: ``flight_record_capacity`` structured events) as
-        #: ``run<NNN>.jsonl`` under this directory — including runs that
-        #: crash or misbehave, which is the whole point.
+        #: :data:`~repro.telemetry.recorder.DEFAULT_CAPACITY` structured
+        #: events) as ``run<NNN>.jsonl`` under this directory —
+        #: including runs that crash or misbehave, which is the whole
+        #: point.
         self.flight_record_dir = flight_record_dir
-        self.flight_record_capacity = flight_record_capacity
 
     def workload_seeds(self) -> list[int]:
         return [self.seed + i for i in range(self.n_apps)]

@@ -72,7 +72,6 @@ class PciPlatformConfig:
         disconnect_after: int | None = None,
         word_latency: int = 0,
         arbiter: Arbiter | None = None,
-        response_capacity: int | None = None,
         monitor_strict: bool = True,
         app_think_time: int = 0,
         resilience: object | None = None,
@@ -94,20 +93,8 @@ class PciPlatformConfig:
         self.word_latency = word_latency
         self.arbiter = arbiter
         #: Structural parameters of the interface element (widths, burst
-        #: bound, response-FIFO depth). An explicit ``response_capacity``
-        #: argument overrides the one inside ``params`` — the historical
-        #: spelling of the only knob that predates IfaceParams.
-        if params is None:
-            params = IfaceParams(
-                response_capacity=(
-                    4 if response_capacity is None else response_capacity
-                )
-            )
-        elif response_capacity is not None:
-            params = params.with_response_capacity(response_capacity)
-        self.params = params
-        #: Legacy mirror of ``params.response_capacity``.
-        self.response_capacity = params.response_capacity
+        #: bound, response-FIFO depth).
+        self.params = params if params is not None else IfaceParams()
         self.monitor_strict = monitor_strict
         #: fs of local work each application simulates between commands
         #: (0 = back-to-back traffic; >0 leaves idle bus cycles).

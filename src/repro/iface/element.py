@@ -25,9 +25,6 @@ class InterfaceElement(BusInterface):
 
     :param params: structural parameters; ``None`` elaborates the
         defaults (32-bit paths, burst 8, response FIFO of 4).
-    :param response_capacity: legacy knob — when given it overrides
-        ``params.response_capacity`` so existing call sites that only
-        pass the FIFO depth keep working unchanged.
     """
 
     def __init__(
@@ -36,16 +33,10 @@ class InterfaceElement(BusInterface):
         name: str,
         arbiter: Arbiter | None = None,
         params: IfaceParams | None = None,
-        response_capacity: int | None = None,
         channel_cls: type = BusInterfaceChannel,
     ) -> None:
         if params is None:
             params = IfaceParams()
-        if (
-            response_capacity is not None
-            and response_capacity != params.response_capacity
-        ):
-            params = params.with_response_capacity(response_capacity)
         super().__init__(
             parent, name, arbiter, params.response_capacity, channel_cls
         )
@@ -91,19 +82,6 @@ class InterfaceElement(BusInterface):
             "max_burst": params.max_burst,
             "response_capacity": params.response_capacity,
         }
-
-
-def element_params(
-    params: IfaceParams | None, response_capacity: int | None
-) -> IfaceParams:
-    """Resolve the (params, legacy response_capacity) pair one way."""
-    resolved = params or IfaceParams()
-    if (
-        response_capacity is not None
-        and response_capacity != resolved.response_capacity
-    ):
-        resolved = resolved.with_response_capacity(response_capacity)
-    return resolved
 
 
 def is_interface_element(module: typing.Any) -> bool:

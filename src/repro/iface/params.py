@@ -83,12 +83,6 @@ class IfaceParams:
         """Bytes per full-width data beat."""
         return self.data_width // 8
 
-    def with_response_capacity(self, response_capacity: int) -> "IfaceParams":
-        """A copy with a different response-FIFO depth."""
-        return dataclasses.replace(
-            self, response_capacity=response_capacity
-        )
-
     def describe(self) -> dict:
         """Flat record for reports and ``describe()`` metadata."""
         return {

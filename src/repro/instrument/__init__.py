@@ -26,7 +26,7 @@ Typical use::
 or, from the command line, ``python -m repro profile <script.py>``.
 """
 
-from .metrics import Counter, DetectionLog, MetricsCollector
+from .metrics import Counter, MetricsCollector
 from .probes import (
     DELTA_BEGIN,
     DELTA_END,
@@ -57,7 +57,6 @@ __all__ = [
     "DELTA_BEGIN",
     "DELTA_END",
     "DETECTION",
-    "DetectionLog",
     "EVENT_NOTIFY",
     "FAULT_ACTIVATE",
     "FLOW_STAGE",

@@ -14,8 +14,6 @@ mean the same thing.
 
 from __future__ import annotations
 
-import typing
-
 from ..telemetry.digest import LatencyDigest
 from .probes import (
     DELTA_BEGIN,
@@ -30,10 +28,8 @@ from .probes import (
     METHOD_QUEUE,
     PROCESS_ACTIVATE,
     SIGNAL_COMMIT,
-    TRANSACTION_BEGIN,
     TRANSACTION_END,
     ProbeSubscriber,
-    txn_key,
 )
 
 
@@ -96,35 +92,6 @@ class MethodMetrics:
         }
 
 
-class DetectionLog(ProbeSubscriber):
-    """Bus subscriber that collects detection records in firing order.
-
-    The fault-injection classifier attaches one of these to a run's
-    probe bus and reads :attr:`records` afterwards — detections travel
-    over the same instrumentation plane as every other observation.
-    """
-
-    _SUBSCRIPTIONS = ((DETECTION, "append"),)
-
-    def __init__(self) -> None:
-        self.records: list = []
-
-    def append(self, record: object) -> None:
-        self.records.append(record)
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> typing.Iterator:
-        return iter(self.records)
-
-    def __bool__(self) -> bool:
-        return bool(self.records)
-
-
 class MetricsCollector(ProbeSubscriber):
     """Counters + digests for everything the probe bus publishes."""
 
@@ -141,7 +108,6 @@ class MetricsCollector(ProbeSubscriber):
         self.fault_activations = Counter()
         self.detections = 0
         self.flow_stages: list[tuple[str, str, float]] = []
-        self._open_transactions: dict[tuple[str, object], int] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -155,7 +121,6 @@ class MetricsCollector(ProbeSubscriber):
         (METHOD_GRANT, "_on_method_grant"),
         (METHOD_GUARD_BLOCK, "_on_guard_block"),
         (METHOD_COMPLETE, "_on_method_complete"),
-        (TRANSACTION_BEGIN, "_on_transaction_begin"),
         (TRANSACTION_END, "_on_transaction_end"),
         (FAULT_ACTIVATE, "_on_fault_activate"),
         (DETECTION, "_on_detection"),
@@ -218,12 +183,10 @@ class MetricsCollector(ProbeSubscriber):
         if arrival is not None:
             record.total_times.add(complete - arrival)
 
-    def _on_transaction_begin(self, time: int, source: str, payload: object) -> None:
-        self._open_transactions[txn_key(source, payload)] = time
-
-    def _on_transaction_end(self, time: int, source: str, payload: object) -> None:
+    def _on_transaction_end(
+        self, time: int, source: str, payload: object, begin: int | None
+    ) -> None:
         self.transactions.add(source)
-        begin = self._open_transactions.pop(txn_key(source, payload), None)
         if begin is not None:
             digest = self.transaction_times.get(source)
             if digest is None:

@@ -33,9 +33,13 @@ kind                  callback arguments
 ``transaction.begin`` ``(time, source, payload)`` — a bus/TLM transaction
                       opened (``source`` is a hierarchical path string;
                       the payload carries a process-wide unique
-                      ``txn_id`` from :func:`new_txn_id` so begin/end
-                      pair reliably across layers)
-``transaction.end``   ``(time, source, payload)`` — the transaction closed
+                      ``txn_id`` from :func:`new_txn_id`)
+``transaction.end``   ``(time, source, payload, begin)`` — the transaction
+                      closed; the emitter that opened it passes its own
+                      begin time, so subscribers need no pairing.
+                      ``begin`` is ``None`` for end-only emitters (the
+                      Wishbone and AXI4-Lite monitors), whose
+                      transactions are counted but not paired
 ``flow.stage``        ``(name, status, wall_seconds)`` — a design-flow stage
                       finished (wall-clock, not simulation time)
 ``fault.activate``    ``(time, fault)`` — an armed fault model perturbed the
@@ -122,17 +126,6 @@ _txn_ids = itertools.count(1)
 def new_txn_id() -> int:
     """Allocate the next process-wide unique transaction id."""
     return next(_txn_ids)
-
-
-def txn_key(source: str, payload: object) -> tuple[str, object]:
-    """The key pairing a ``transaction.begin`` with its ``end``.
-
-    Prefers the stable ``txn_id`` stamped on transaction payloads and
-    falls back to object identity for payloads that carry none, so
-    every subscriber that pairs transactions pairs them the same way.
-    """
-    txn_id = getattr(payload, "txn_id", None)
-    return (source, txn_id if txn_id is not None else id(payload))
 
 
 class ProbeError(ValueError):

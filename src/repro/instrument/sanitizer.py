@@ -89,10 +89,6 @@ class RaceSanitizer(ProbeSubscriber):
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def racy_signals(self) -> set[str]:
-        return set(self.conflicts)
-
     def observed(self, signal_name: str) -> bool:
         return signal_name in self.conflicts
 

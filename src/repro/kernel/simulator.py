@@ -14,7 +14,6 @@ from __future__ import annotations
 import typing
 
 from ..errors import ElaborationError, SimulationError
-from ..instrument.metrics import DetectionLog
 from ..instrument.probes import DETECTION, SIGNAL_COMMIT, ProbeBus, default_bus
 from .event import Event
 from .process import Process
@@ -112,7 +111,7 @@ class Simulator:
         self._top_modules: list["Module"] = []
         self._tracers: list[typing.Any] = []
         self.elaborated = False
-        self._detection_log = DetectionLog()
+        self._detections: list[DetectionRecord] = []
         self._probes: ProbeBus | None = None
         bus = probe_bus if probe_bus is not None else default_bus()
         if bus is not None:
@@ -253,11 +252,10 @@ class Simulator:
     def detections(self) -> list[DetectionRecord]:
         """Checker/scoreboard/monitor firings, in reporting order.
 
-        A thin view over this simulator's detection log; external
-        consumers (e.g. the fault classifier) subscribe to the
-        ``detection`` probe instead of scraping this list.
+        The one detection log of a run: the fault classifier reads it
+        directly, so classifying needs no probe bus.
         """
-        return self._detection_log.records
+        return self._detections
 
     def report_detection(self, source: str, message: str) -> None:
         """Record that a runtime checker fired.
@@ -266,11 +264,11 @@ class Simulator:
         every violation (strict or not), so the fault-injection
         classifier can tell *detected* misbehaviour apart from silent
         corruption without depending on exception propagation. The
-        record lands in this simulator's own log and, when a probe bus
-        is attached, is published as a ``detection`` probe.
+        record lands in :attr:`detections` and, when a probe bus is
+        attached, is published as a ``detection`` probe.
         """
         record = DetectionRecord(source, message, self.scheduler.time)
-        self._detection_log.append(record)
+        self._detections.append(record)
         probes = self._probes
         if probes is not None:
             probes.emit(DETECTION, record)

@@ -139,7 +139,10 @@ class PciMaster(Module):
                 )
         operation.complete_time = self.sim.time
         if probes is not None:
-            probes.emit(TRANSACTION_END, self.sim.time, self.path, operation)
+            probes.emit(
+                TRANSACTION_END, self.sim.time, self.path, operation,
+                operation.start_time,
+            )
 
     # -- one arbitration + transaction attempt --------------------------------------
 

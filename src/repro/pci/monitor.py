@@ -181,7 +181,11 @@ class PciMonitor(Module):
         probes = self.sim._probes
         if probes is not None:
             probes.emit(
-                TRANSACTION_END, self.sim.time, self.path, self._current
+                TRANSACTION_END,
+                self.sim.time,
+                self.path,
+                self._current,
+                self._current.start_time,
             )
         self._current = None
 

@@ -1,11 +1,10 @@
 """Recovery observability: the log, episode assembly, latency stats.
 
 :class:`RecoveryLog` is a probe-bus subscriber over the four
-``resilience.*`` kinds, in the same shape as
-:class:`~repro.instrument.metrics.DetectionLog`. It groups raw events
-into *episodes* — one per ``(path, method)`` stream, opened by the
-first timeout/retry and closed by a ``recovered`` or ``giveup`` — and
-derives the recovery-latency numbers the fault-campaign report quotes.
+``resilience.*`` kinds. It groups raw events into *episodes* — one per
+``(path, method)`` stream, opened by the first timeout/retry and closed
+by a ``recovered`` or ``giveup`` — and derives the recovery-latency
+numbers the fault-campaign report quotes.
 
 :class:`InterfaceRecovery` is the picklable knob bundle the bus
 interface elements consult for protocol-level transaction replay.
@@ -87,18 +86,6 @@ class RecoveryLog(ProbeSubscriber):
         return sum(1 for event in self.events if event.kind == kind)
 
     @property
-    def timeouts(self) -> int:
-        return self.count(RESILIENCE_TIMEOUT)
-
-    @property
-    def retries(self) -> int:
-        return self.count(RESILIENCE_RETRY)
-
-    @property
-    def giveups(self) -> int:
-        return self.count(RESILIENCE_GIVEUP)
-
-    @property
     def recoveries(self) -> int:
         return self.count(RESILIENCE_RECOVERED)
 
@@ -134,23 +121,6 @@ class RecoveryLog(ProbeSubscriber):
             for episode in self.episodes()
             if episode.latency is not None
         ]
-
-    def stats(self) -> dict:
-        """JSON-ready summary: counts + latency aggregates."""
-        latencies = self.recovery_latencies()
-        episodes = self.episodes()
-        return {
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "giveups": self.giveups,
-            "recoveries": self.recoveries,
-            "episodes": len(episodes),
-            "recovered_episodes": len(latencies),
-            "mean_recovery_latency": (
-                sum(latencies) // len(latencies) if latencies else 0
-            ),
-            "max_recovery_latency": max(latencies) if latencies else 0,
-        }
 
 
 class InterfaceRecovery:

@@ -28,8 +28,8 @@ import typing
 
 from ..instrument import probes as _p
 
-#: Ring capacity when the caller does not choose one.
-DEFAULT_CAPACITY = 4096
+#: Ring capacity when the caller does not choose one (what campaigns use).
+DEFAULT_CAPACITY = 512
 
 #: The probe kinds a recorder subscribes to by default. The per-delta
 #: and per-commit kernel kinds are deliberately excluded — they would
@@ -115,12 +115,6 @@ class FlightRecorder(_p.ProbeSubscriber):
         """Events that fell out of the ring."""
         return self.seen - len(self._ring)
 
-    def tail(self, n: int) -> list[dict]:
-        if n <= 0:
-            return []
-        ring = self._ring
-        return list(ring)[-n:] if n < len(ring) else list(ring)
-
     # -- serialization -------------------------------------------------------
 
     def dump(self, path, header: dict | None = None) -> None:
@@ -196,7 +190,11 @@ def _summarize_guard_block(time: int, space: object, requests: object) -> dict:
     return {"time": time, "space": _path_of(space), "pending": pending}
 
 
-def _summarize_transaction(time: int, source: str, payload: object) -> dict:
+def _summarize_transaction(
+    time: int, source: str, payload: object, begin: int | None = None
+) -> dict:
+    # An end's begin time is not persisted: the JSONL keeps the begin
+    # event itself, paired offline by flight_record_chrome_trace.
     fields: dict = {
         "time": time,
         "source": source,

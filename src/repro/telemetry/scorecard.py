@@ -33,7 +33,6 @@ from ..instrument.probes import (
     TRANSACTION_BEGIN,
     TRANSACTION_END,
     ProbeSubscriber,
-    txn_key,
 )
 from .digest import LatencyDigest
 
@@ -267,7 +266,6 @@ class ScorecardProbe(ProbeSubscriber):
 
     def __init__(self, cycle_fs: int = 0) -> None:
         self.cycle_fs = cycle_fs
-        self._open: dict[tuple[str, object], int] = {}
         #: source -> [paired, latency digest, beats, intervals]
         self._sources: dict[str, list] = {}
         self._ends_total = 0
@@ -297,13 +295,14 @@ class ScorecardProbe(ProbeSubscriber):
             self._last_time = time
 
     def _on_begin(self, time: int, source: str, payload: object) -> None:
+        # Only widens the observed span: a stalled run can end on a begin.
         self._clock(time)
-        self._open[txn_key(source, payload)] = time
 
-    def _on_end(self, time: int, source: str, payload: object) -> None:
+    def _on_end(
+        self, time: int, source: str, payload: object, begin: int | None
+    ) -> None:
         self._clock(time)
         self._ends_total += 1
-        begin = self._open.pop(txn_key(source, payload), None)
         if begin is None:
             return
         record = self._source(source)

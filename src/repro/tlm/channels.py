@@ -120,15 +120,17 @@ class ReqRspChannel:
         """Master side: send *request*, block for the matching response."""
         probes = self.sim._probes
         if probes is not None:
-            # The same wrapper is emitted at begin and end, carrying a
-            # stable txn_id, so subscribers pair the probes reliably
-            # even across layers.
+            # The same wrapper, carrying a stable txn_id, is emitted at
+            # begin and end; the end also carries the begin time.
             transaction = TlmTransaction(request)
-            probes.emit(TRANSACTION_BEGIN, self.sim.time, self.name, transaction)
+            begin = self.sim.time
+            probes.emit(TRANSACTION_BEGIN, begin, self.name, transaction)
         yield from self.requests.put(request)
         response = yield from self.responses.get()
         if probes is not None:
-            probes.emit(TRANSACTION_END, self.sim.time, self.name, transaction)
+            probes.emit(
+                TRANSACTION_END, self.sim.time, self.name, transaction, begin
+            )
         return response
 
     def serve(self, handler: typing.Callable[[object], object]):

@@ -176,10 +176,9 @@ class TlmGpBusInterface(InterfaceElement):
         name: str,
         socket: GpTargetSocket,
         arbiter: Arbiter | None = None,
-        response_capacity: int | None = None,
         params: IfaceParams | None = None,
     ) -> None:
-        super().__init__(parent, name, arbiter, params, response_capacity)
+        super().__init__(parent, name, arbiter, params)
         self.socket = socket
         self.payloads_failed = 0
         self.thread(self._dispatch, "dispatch")
@@ -191,12 +190,15 @@ class TlmGpBusInterface(InterfaceElement):
             payload.txn_id = new_txn_id()
             probes = self.sim._probes
             if probes is not None:
-                probes.emit(TRANSACTION_BEGIN, self.sim.time, self.path, payload)
+                begin = self.sim.time
+                probes.emit(TRANSACTION_BEGIN, begin, self.path, payload)
             delay = self.socket.b_transport(payload)
             if delay:
                 yield Timeout(delay)
             if probes is not None:
-                probes.emit(TRANSACTION_END, self.sim.time, self.path, payload)
+                probes.emit(
+                    TRANSACTION_END, self.sim.time, self.path, payload, begin
+                )
             self.commands_serviced += 1
             if not payload.is_response_ok:
                 self.payloads_failed += 1

@@ -39,16 +39,6 @@ class WaveformCapture:
         for signal in signals:
             self.add_signal(signal)
 
-    def add_module(self, module: typing.Any) -> None:
-        prefix = module.path + "."
-        for name, obj in module.sim.iter_named():
-            if name.startswith(prefix) and isinstance(obj, (Signal, ResolvedSignal)):
-                self.add_signal(obj)
-
-    @property
-    def signal_names(self) -> tuple[str, ...]:
-        return tuple(self.history)
-
     # -- tracer protocol ---------------------------------------------------
 
     def record_change(self, time: int, signal: Traceable, value: object) -> None:
@@ -91,10 +81,6 @@ class WaveformCapture:
             return list(self.history[name])
         except KeyError:
             raise SimulationError(f"signal {name!r} was not captured") from None
-
-    def change_count(self, name: str) -> int:
-        """Number of committed changes (excluding the initial snapshot)."""
-        return max(0, len(self.changes(name)) - 1)
 
     # -- comparison ---------------------------------------------------------------
 

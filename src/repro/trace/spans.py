@@ -29,10 +29,8 @@ from ..instrument.probes import (
     METHOD_GRANT,
     METHOD_QUEUE,
     PROCESS_ACTIVATE,
-    TRANSACTION_BEGIN,
     TRANSACTION_END,
     ProbeSubscriber,
-    txn_key,
 )
 from ..osss.request import correlation_id_of
 
@@ -175,22 +173,18 @@ class SpanTracer(ProbeSubscriber):
     call :meth:`finalize` before reading :meth:`transactions`.
 
     :param causal: also record notify→wake edges for critical-path
-        extraction (small per-activation cost while tracing).
-    :param max_causal_edges: activation records kept before dropping.
+        extraction (small per-activation cost while tracing); at most
+        :data:`MAX_CAUSAL_EDGES` activation records are kept.
     """
 
-    def __init__(
-        self, causal: bool = True, max_causal_edges: int = MAX_CAUSAL_EDGES
-    ) -> None:
+    def __init__(self, causal: bool = True) -> None:
         self.causal = causal
-        self.max_causal_edges = max_causal_edges
         self.roots: dict[str, Span] = {}
         #: Completed spans with no correlation id (background traffic).
         self.orphans: list[Span] = []
         self.activations: list[ActivationRecord] = []
         self.dropped_causal_edges = 0
         self._open_methods: dict[int, Span] = {}
-        self._open_transactions: dict[tuple, Span] = {}
         self._wire_spans: list[Span] = []
         self._last_notifier: dict[object, str] = {}
         self._finalized = False
@@ -202,7 +196,6 @@ class SpanTracer(ProbeSubscriber):
         (METHOD_QUEUE, "_on_method_queue"),
         (METHOD_GRANT, "_on_method_grant"),
         (METHOD_COMPLETE, "_on_method_complete"),
-        (TRANSACTION_BEGIN, "_on_transaction_begin"),
         (TRANSACTION_END, "_on_transaction_end"),
     )
     _CAUSAL_SUBSCRIPTIONS = (
@@ -294,16 +287,14 @@ class SpanTracer(ProbeSubscriber):
             span.meta["count"] = count
         return span
 
-    def _on_transaction_begin(self, time: int, source: str, payload: object) -> None:
-        span = self._payload_span(time, source, payload)
-        self._open_transactions[txn_key(source, payload)] = span
-
-    def _on_transaction_end(self, time: int, source: str, payload: object) -> None:
-        span = self._open_transactions.pop(txn_key(source, payload), None)
-        if span is None:
-            # Begin-less emission (Wishbone classic cycles terminate in
-            # the cycle they are observed): a point-like span.
-            span = self._payload_span(time, source, payload)
+    def _on_transaction_end(
+        self, time: int, source: str, payload: object, begin: int | None
+    ) -> None:
+        # A begin-less emission (Wishbone classic cycles terminate in
+        # the cycle they are observed) gives a point-like span.
+        span = self._payload_span(
+            time if begin is None else begin, source, payload
+        )
         span.end_time = time
         grant_time = getattr(payload, "grant_time", None)
         if isinstance(grant_time, int):
@@ -346,7 +337,7 @@ class SpanTracer(ProbeSubscriber):
     def _on_process_activate(
         self, time: int, process: object, cause: object = None
     ) -> None:
-        if len(self.activations) >= self.max_causal_edges:
+        if len(self.activations) >= MAX_CAUSAL_EDGES:
             self.dropped_causal_edges += 1
             return
         via = getattr(cause, "name", None) if cause is not None else None

@@ -121,7 +121,7 @@ class ProbeCoverage(ProbeSubscriber):
         cov.add_point("burst", [1, 2, 4])
         ProbeCoverage(cov).cover(
             TRANSACTION_END, "burst",
-            lambda time, source, txn: txn.word_count,
+            lambda time, source, txn, begin: txn.word_count,
         ).attach(sim.probes)
     """
 

@@ -50,14 +50,13 @@ class WishboneBusInterface(InterfaceElement):
         bus: WishboneBus,
         clk: Signal,
         arbiter: Arbiter | None = None,
-        response_capacity: int | None = None,
         params: IfaceParams | None = None,
     ) -> None:
         if params is None:
             params = IfaceParams(
                 data_width=bus.data_width, addr_width=bus.addr_width
             )
-        super().__init__(parent, name, arbiter, params, response_capacity)
+        super().__init__(parent, name, arbiter, params)
         self.check_bus_widths(
             data_width=bus.data_width, addr_width=bus.addr_width
         )

@@ -106,7 +106,9 @@ class WishboneMonitor(Module):
             transfer.txn_id = new_txn_id()
             self.transfers.append(transfer)
             # Wishbone classic cycles terminate in the cycle they are
-            # observed; only the end probe is meaningful.
+            # observed; only the end probe is meaningful, with no begin.
             probes = self.sim._probes
             if probes is not None:
-                probes.emit(TRANSACTION_END, self.sim.time, self.path, transfer)
+                probes.emit(
+                    TRANSACTION_END, self.sim.time, self.path, transfer, None
+                )

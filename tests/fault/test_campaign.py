@@ -149,6 +149,48 @@ class TestClassification:
         assert data["classification"] == BENIGN
 
 
+class TestProbeBusCost:
+    """A run with no observers classifies off the simulator's own log."""
+
+    def _built_sim(self, monkeypatch, spec, golden, window):
+        from repro.fault import campaign
+
+        built = []
+
+        def capture(run_spec):
+            bundle = build_campaign_platform(run_spec)
+            built.append(bundle.handle.sim)
+            return bundle
+
+        monkeypatch.setattr(campaign, "build_campaign_platform", capture)
+        run = RunSpec(0, "stuck_at", "top.bus.devsel_n", window,
+                      {"value": 1})
+        outcome = execute_run(spec, run, golden)
+        return built[0], outcome
+
+    def test_default_run_never_creates_a_probe_bus(
+        self, monkeypatch, golden_and_horizon
+    ):
+        spec, golden = golden_and_horizon
+        sim, outcome = self._built_sim(
+            monkeypatch, spec, golden, (golden.horizon // 10, golden.horizon)
+        )
+        assert sim._probes is None
+        assert outcome.classification == DETECTED
+        assert outcome.detections == len(sim.detections) > 0
+
+    def test_span_tracing_still_attaches_a_bus(self, monkeypatch):
+        spec = _spec(
+            [FaultSpec("stuck_at", "top.bus.devsel_n")], trace_spans=True
+        )
+        golden = run_golden(spec)
+        sim, outcome = self._built_sim(
+            monkeypatch, spec, golden, (golden.horizon // 10, golden.horizon)
+        )
+        assert sim._probes is not None
+        assert outcome.spans_assembled > 0
+
+
 class TestCounting:
     def _outcomes(self, classifications):
         return [

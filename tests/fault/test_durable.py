@@ -92,7 +92,7 @@ class TestContentHash:
         assert campaign_content_hash(changed) != campaign_content_hash(_spec())
 
     def test_observability_knobs_do_not(self, tmp_path):
-        noisy = _spec(flight_record_dir=str(tmp_path), flight_record_capacity=7)
+        noisy = _spec(flight_record_dir=str(tmp_path))
         assert campaign_content_hash(noisy) == campaign_content_hash(_spec())
 
     def test_fingerprint_names_builder_and_version(self):

@@ -60,34 +60,32 @@ class TestReSeat:
 class TestResponseCapacityPlumbing:
     """Satellite: response_capacity flows config -> element -> channel."""
 
-    def test_config_legacy_knob(self):
-        config = PciPlatformConfig(response_capacity=2)
-        assert config.params.response_capacity == 2
-        assert config.response_capacity == 2
+    def test_config_default_capacity(self):
+        assert PciPlatformConfig().params.response_capacity == 4
 
     def test_config_params_object(self):
         params = IfaceParams(response_capacity=6)
         config = PciPlatformConfig(params=params)
         assert config.params is params
-        assert config.response_capacity == 6
+        assert config.params.response_capacity == 6
 
-    def test_legacy_knob_overrides_params(self):
+    def test_capacity_travels_with_the_other_params(self):
         config = PciPlatformConfig(
-            params=IfaceParams(data_width=64), response_capacity=9
+            params=IfaceParams(data_width=64, response_capacity=9)
         )
         assert config.params.data_width == 64
         assert config.params.response_capacity == 9
 
     @pytest.mark.parametrize("bus", ["pci", "wishbone", "axi4lite", "tlmgp"])
     def test_capacity_reaches_the_channel(self, bus):
-        config = PciPlatformConfig(response_capacity=2)
+        config = PciPlatformConfig(params=IfaceParams(response_capacity=2))
         bundle = build_platform([_workload()], config, bus=bus)
         assert bundle.interface.params.response_capacity == 2
         assert bundle.interface.channel_state.response_capacity == 2
 
     def test_capacity_one_still_consistent(self):
         workload = _workload(seed=9, n=10)
-        config = PciPlatformConfig(response_capacity=1)
+        config = PciPlatformConfig(params=IfaceParams(response_capacity=1))
         reference = build_platform([workload], bus="wishbone").run(100 * MS)
         shallow = build_platform(
             [workload], config, bus="wishbone"

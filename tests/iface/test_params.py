@@ -54,13 +54,6 @@ class TestDerived:
     def test_addr_mask(self):
         assert IfaceParams(addr_width=16).addr_mask == 0xFFFF
 
-    def test_with_response_capacity(self):
-        base = IfaceParams(data_width=64)
-        deeper = base.with_response_capacity(9)
-        assert deeper.response_capacity == 9
-        assert deeper.data_width == 64
-        assert base.response_capacity == 4  # original untouched
-
     def test_describe(self):
         record = IfaceParams(data_width=16).describe()
         assert record["data_width"] == 16

@@ -3,9 +3,7 @@
 
 from repro.hdl.module import Module
 from repro.instrument import (
-    DETECTION,
     Counter,
-    DetectionLog,
     MetricsCollector,
     ProbeBus,
 )
@@ -63,32 +61,6 @@ class TestCounter:
         assert c.total == 5
         assert c.top(1) == [("b", 3)]
         assert len(c) == 2
-
-
-class TestDetectionLog:
-    def test_attach_collects_probe_records(self):
-        bus = ProbeBus()
-        log = DetectionLog().attach(bus)
-        bus.emit(DETECTION, "record-1")
-        assert log.records == ["record-1"]
-        assert len(log) == 1 and bool(log)
-        log.detach()
-        bus.emit(DETECTION, "record-2")
-        assert list(log) == ["record-1"]
-
-    def test_simulator_detections_flow_over_the_bus(self):
-        sim = Simulator()
-        log = DetectionLog().attach(sim.probes)
-        sim.report_detection("checker", "boom")
-        assert len(log) == 1
-        assert log.records[0].source == "checker"
-        # The public property stays a thin view of the sim's own log.
-        assert sim.detections[0] is log.records[0]
-
-    def test_detections_without_bus_still_recorded(self):
-        sim = Simulator()  # no bus attached
-        sim.report_detection("checker", "quiet")
-        assert len(sim.detections) == 1
 
 
 class _Buffer:
@@ -201,7 +173,7 @@ class TestMetricsCollector:
         from repro.instrument import TRANSACTION_BEGIN, TRANSACTION_END
 
         bus.emit(TRANSACTION_BEGIN, 100, "top.monitor", payload)
-        bus.emit(TRANSACTION_END, 400, "top.monitor", payload)
+        bus.emit(TRANSACTION_END, 400, "top.monitor", payload, 100)
         assert metrics.transactions["top.monitor"] == 1
         assert metrics.transaction_times["top.monitor"].total == 300
 

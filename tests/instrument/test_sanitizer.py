@@ -1,6 +1,6 @@
 """Dynamic race sanitizer: unit behaviour plus RACE001 confirmation."""
 
-from repro.instrument.probes import SIGNAL_COMMIT, ProbeBus
+from repro.instrument.probes import ProbeBus
 from repro.instrument.sanitizer import RaceSanitizer
 from repro.lint import lint_design
 
@@ -38,7 +38,7 @@ class TestSanitizerUnit:
         sanitizer = RaceSanitizer().attach(bus)
         bus.signal_commit(5, sig, 1)
         bus.signal_commit(6, sig, 0)
-        assert sanitizer.racy_signals == set()
+        assert sanitizer.conflicts == {}
 
     def test_watch_filter(self):
         bus = ProbeBus()
@@ -55,7 +55,7 @@ class TestSanitizerUnit:
         sanitizer.detach()
         bus.signal_commit(5, sig, 1)
         bus.signal_commit(5, sig, 0)
-        assert sanitizer.racy_signals == set()
+        assert sanitizer.conflicts == {}
 
     def test_summary_line(self):
         sanitizer = RaceSanitizer()

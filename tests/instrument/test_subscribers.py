@@ -1,4 +1,4 @@
-"""The shared subscriber base and the one transaction pairing key."""
+"""The shared subscriber base and the emitter-paired transaction stream."""
 
 import pytest
 
@@ -6,17 +6,14 @@ from repro.core import generate_workload
 from repro.errors import SimulationError
 from repro.flow import build_platform
 from repro.instrument import MetricsCollector, ProbeBus
-from repro.instrument.probes import PROBE_KINDS, txn_key
+from repro.iface.matrix import DEFAULT_BUSES, LEVELS
+from repro.instrument.probes import PROBE_KINDS
 from repro.kernel import MS
 from repro.resilience import RecoveryLog
+from repro.synthesis.tool import SynthesisConfig
 from repro.telemetry import FlightRecorder, ScorecardProbe
 from repro.trace import SpanTracer
 from repro.trace.spans import BUS, WIRE
-
-
-class _Payload:
-    def __init__(self, txn_id=None):
-        self.txn_id = txn_id
 
 
 def _subscribed(bus):
@@ -52,40 +49,57 @@ class TestProbeSubscriber:
         log.attach(bus)  # re-attach after detach is fine
 
 
-class TestTxnKey:
-    def test_prefers_txn_id(self):
-        assert txn_key("top.mon", _Payload(7)) == ("top.mon", 7)
-        assert txn_key("top.mon", _Payload(7)) != txn_key("top.x", _Payload(7))
-
-    def test_falls_back_to_identity(self):
-        payload = _Payload()
-        assert txn_key("top.mon", payload) == ("top.mon", id(payload))
+#: Monitors that reconstruct transactions from the wires and emit only
+#: an end: they are counted, never paired.
+_END_ONLY_MONITORS = {"wishbone", "axi4lite"}
 
 
-def test_subscribers_agree_on_one_run():
-    """Metrics, scorecard and spans pair the same transactions."""
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("bus", DEFAULT_BUSES)
+def test_subscribers_agree_on_one_run(bus, level):
+    """Metrics, scorecard and spans read one pairing: the emitter's."""
     workload = generate_workload(
         seed=55, n_commands=25, address_span=0x400, max_burst=4
     )
-    bundle = build_platform([workload], bus="pci", synthesize=True)
-    bus = bundle.handle.sim.probes
-    metrics = MetricsCollector().attach(bus)
-    scorecard = ScorecardProbe().attach(bus)
-    tracer = SpanTracer().attach(bus)
+    bundle = build_platform(
+        [workload],
+        bus=bus,
+        synthesize=level != "functional",
+        synthesis_config=(
+            None if level == "functional"
+            else SynthesisConfig(backend=(
+                "compiled" if level == "compiled" else "interpreted"
+            ))
+        ),
+    )
+    probes = bundle.handle.sim.probes
+    metrics = MetricsCollector().attach(probes)
+    scorecard = ScorecardProbe().attach(probes)
+    tracer = SpanTracer(causal=False).attach(probes)
     bundle.run(200 * MS)
     tracer.finalize()
 
-    cell = scorecard.score()
-    primary = cell.primary_source
-    digest = metrics.transaction_times[primary]
-    spans = [
-        span
-        for top in [*tracer.roots.values(), *tracer.orphans]
-        for span in top.walk()
-        if span.source == primary and span.category in (BUS, WIRE)
-    ]
-    assert cell.transactions > 0
-    assert digest.count == cell.transactions == len(spans)
-    assert digest.total == cell.latency.total == sum(
-        span.duration for span in spans
-    )
+    spans_by_source: dict = {}
+    for top in [*tracer.roots.values(), *tracer.orphans]:
+        for span in top.walk():
+            if span.category in (BUS, WIRE):
+                spans_by_source.setdefault(span.source, []).append(span)
+    assert set(spans_by_source) == set(metrics.transactions.counts)
+    paired_total = 0
+    for source, ends in metrics.transactions.counts.items():
+        digest = metrics.transaction_times.get(source)
+        record = scorecard._sources.get(source)
+        spans = spans_by_source[source]
+        paired = digest.count if digest is not None else 0
+        latency = digest.total if digest is not None else 0
+        assert paired == (record[0] if record is not None else 0), source
+        assert latency == (record[1].total if record is not None else 0)
+        assert len(spans) == ends
+        assert sum(span.duration for span in spans) == latency, source
+        assert paired in (0, ends), source
+        if source == getattr(bundle.monitor, "path", None) and (
+            bus in _END_ONLY_MONITORS
+        ):
+            assert paired == 0 and latency == 0, source
+        paired_total += paired
+    assert paired_total > 0

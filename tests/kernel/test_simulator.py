@@ -144,6 +144,23 @@ class TestDetections:
         assert "TRDY#" in record.message
         assert record.time == sim.time
 
+    def test_simulator_detections_flow_over_the_bus(self):
+        from repro.instrument import DETECTION
+
+        sim = Simulator()
+        seen = []
+        sim.probes.subscribe(DETECTION, seen.append)
+        sim.report_detection("checker", "boom")
+        assert [record.source for record in seen] == ["checker"]
+        # The bus carries the very record the simulator's log keeps.
+        assert sim.detections[0] is seen[0]
+
+    def test_detections_without_bus_still_recorded(self):
+        sim = Simulator()  # no bus attached
+        sim.report_detection("checker", "quiet")
+        assert len(sim.detections) == 1
+        assert sim._probes is None
+
     def test_nonstrict_monitor_violation_is_still_a_detection(self, sim):
         """The verify checkers feed detections even when not raising."""
         from repro.verify import InvariantChecker

@@ -5,6 +5,11 @@ import pytest
 from repro.errors import GuardTimeoutError, SimulationError
 from repro.hdl.module import Module
 from repro.kernel.process import Timeout
+from repro.instrument.probes import (
+    RESILIENCE_GIVEUP,
+    RESILIENCE_RETRY,
+    RESILIENCE_TIMEOUT,
+)
 from repro.kernel.simtime import NS, US
 from repro.kernel.simulator import Simulator
 from repro.osss.global_object import GlobalObject
@@ -133,9 +138,9 @@ class TestGuardedCallPolicy:
         assert "3 attempts" in str(host.error)
         # One timeout per attempt, a retry before each re-submission,
         # one final giveup — and nothing recovered.
-        assert log.timeouts == 3
-        assert log.retries == 2
-        assert log.giveups == 1
+        assert log.count(RESILIENCE_TIMEOUT) == 3
+        assert log.count(RESILIENCE_RETRY) == 2
+        assert log.count(RESILIENCE_GIVEUP) == 1
         assert log.recoveries == 0
         (episode,) = log.episodes()
         assert episode.outcome == "giveup"
@@ -152,7 +157,7 @@ class TestGuardedCallPolicy:
         assert host.error is None
         assert host.result == 1
         assert host.cell.state.executions == 1  # cancelled attempts never ran
-        assert log.timeouts >= 1
+        assert log.count(RESILIENCE_TIMEOUT) >= 1
         assert log.recoveries == 1
         (episode,) = log.episodes()
         assert episode.outcome == "recovered"

@@ -13,6 +13,7 @@ import pytest
 from repro.core.command import CommandType
 from repro.fault.models import make_fault
 from repro.flow.platforms import PciPlatformConfig, build_platform
+from repro.instrument.probes import RESILIENCE_GIVEUP, RESILIENCE_RETRY
 from repro.kernel.simtime import MS, NS, US
 from repro.resilience import InterfaceRecovery, RecoveryLog, ResilienceConfig
 from repro.trace.vcd import VcdTracer
@@ -75,7 +76,7 @@ class TestPciParityReplay:
         assert interface.master.parity_errors_seen >= 1
         assert interface.operations_replayed >= 1
         assert interface.operations_recovered >= 1
-        assert log.retries >= 1
+        assert log.count(RESILIENCE_RETRY) >= 1
         assert log.recoveries >= 1
         episodes = [e for e in log.episodes() if e.outcome == "recovered"]
         assert episodes and all(e.latency > 0 for e in episodes)
@@ -101,7 +102,7 @@ class TestPciParityReplay:
         fault_spec = ("stuck_at", "top.bus.par", (200 * NS, 9 * MS),
                       {"value": 0})
         bundle, result, log, fault = _run_pci(False, fault_spec, _REPLAY_ONLY)
-        assert log.giveups >= 1
+        assert log.count(RESILIENCE_GIVEUP) >= 1
         episodes = [e for e in log.episodes() if e.outcome == "giveup"]
         assert episodes
         assert episodes[0].attempts == _REPLAY_ONLY.interface.replay_limit

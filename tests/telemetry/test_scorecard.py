@@ -75,7 +75,9 @@ def _drive(probe_bus, source="top.bus.mon", base=0, n=3, gap=100 * NS,
         payload = _Payload(txn_id=base + index, word_count=word_count)
         begin = base * 1000 + index * gap
         probe_bus.emit(TRANSACTION_BEGIN, begin, source, payload)
-        probe_bus.emit(TRANSACTION_END, begin + duration, source, payload)
+        probe_bus.emit(
+            TRANSACTION_END, begin + duration, source, payload, begin
+        )
 
 
 class TestScorecardProbe:
@@ -94,7 +96,7 @@ class TestScorecardProbe:
     def test_unpaired_end_counts_but_does_not_score(self):
         bus = ProbeBus()
         probe = ScorecardProbe().attach(bus)
-        bus.emit(TRANSACTION_END, 100, "top.bus.mon", _Payload(1))
+        bus.emit(TRANSACTION_END, 100, "top.bus.mon", _Payload(1), None)
         score = probe.score()
         assert score.ends_total == 1
         assert score.transactions == 0
@@ -106,10 +108,10 @@ class TestScorecardProbe:
         a, b, c = _Payload(1), _Payload(2), _Payload(3)
         bus.emit(TRANSACTION_BEGIN, 0, "m", a)
         bus.emit(TRANSACTION_BEGIN, 50, "m", b)
-        bus.emit(TRANSACTION_END, 100, "m", a)
-        bus.emit(TRANSACTION_END, 150, "m", b)
+        bus.emit(TRANSACTION_END, 100, "m", a, 0)
+        bus.emit(TRANSACTION_END, 150, "m", b, 50)
         bus.emit(TRANSACTION_BEGIN, 200, "m", c)
-        bus.emit(TRANSACTION_END, 200, "m", c)
+        bus.emit(TRANSACTION_END, 200, "m", c, 200)
         score = probe.score()
         assert score.span_fs == 200
         assert score.busy_fs == 150

@@ -33,7 +33,6 @@ class TestCapture:
         sim.run(100 * NS)
         changes = capture.changes("top.data")
         assert [v.to_int() for __, v in changes] == [0, 1, 2]
-        assert capture.change_count("top.data") == 2
 
     def test_value_at_interpolates(self):
         sim = Simulator()

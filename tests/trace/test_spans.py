@@ -125,8 +125,8 @@ class TestSpanAssembly:
             devsel_time=130,
         )
         bus.emit(TRANSACTION_BEGIN, 120, "top.monitor", wire)
-        bus.emit(TRANSACTION_END, 180, "top.monitor", wire)
-        bus.emit(TRANSACTION_END, 200, "top.master", operation)
+        bus.emit(TRANSACTION_END, 180, "top.monitor", wire, 120)
+        bus.emit(TRANSACTION_END, 200, "top.master", operation, 100)
         tracer.finalize()
         root = tracer.roots["top.app#2"]
         bus_span = root.find(BUS)
@@ -142,7 +142,7 @@ class TestSpanAssembly:
         tracer = SpanTracer(causal=False).attach(bus)
         wire = _Payload(address=0x900, terminated_by="completion")
         bus.emit(TRANSACTION_BEGIN, 10, "top.monitor", wire)
-        bus.emit(TRANSACTION_END, 20, "top.monitor", wire)
+        bus.emit(TRANSACTION_END, 20, "top.monitor", wire, 10)
         tracer.finalize()
         assert len(tracer.orphans) == 1
 

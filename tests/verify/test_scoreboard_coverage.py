@@ -132,15 +132,15 @@ class TestProbeCoverage:
         collector = CoverageCollector("bus")
         collector.add_point("burst", [1, 2, 4])
         sampler = ProbeCoverage(collector).cover(
-            TRANSACTION_END, "burst", lambda time, source, words: words
+            TRANSACTION_END, "burst", lambda time, source, words, begin: words
         )
         return bus, collector, sampler, TRANSACTION_END
 
     def test_samples_from_probe_emissions(self):
         bus, collector, sampler, kind = self._bound()
         sampler.attach(bus)
-        bus.emit(kind, 100, "top.monitor", 1)
-        bus.emit(kind, 200, "top.monitor", 4)
+        bus.emit(kind, 100, "top.monitor", 1, 50)
+        bus.emit(kind, 200, "top.monitor", 4, 150)
         point = collector.point("burst")
         assert point.covered_bins == 2
         assert point.holes() == [2]
@@ -148,7 +148,7 @@ class TestProbeCoverage:
     def test_none_extraction_skips_sample(self):
         bus, collector, sampler, kind = self._bound()
         sampler.attach(bus)
-        bus.emit(kind, 100, "top.monitor", None)
+        bus.emit(kind, 100, "top.monitor", None, 50)
         assert collector.point("burst").covered_bins == 0
         assert collector.point("burst").others == 0
 
@@ -157,7 +157,7 @@ class TestProbeCoverage:
         sampler.attach(bus)
         sampler.detach()
         sampler.detach()  # idempotent
-        bus.emit(kind, 100, "top.monitor", 1)
+        bus.emit(kind, 100, "top.monitor", 1, 50)
         assert collector.point("burst").covered_bins == 0
 
     def test_unknown_point_rejected_at_bind_time(self):
