@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -77,6 +78,8 @@ def _kill_leg(scratch: str, runs: int) -> None:
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        # Its own process group, so one kill takes its pool workers too.
+        start_new_session=True,
     )
     journal_file = os.path.join(journal_dir, "journal.jsonl")
     deadline = time.time() + 120
@@ -90,7 +93,7 @@ def _kill_leg(scratch: str, runs: int) -> None:
         except OSError:
             lines = 0
         if lines >= 3:  # header + at least two fsync'd outcomes
-            child.kill()
+            os.killpg(child.pid, signal.SIGKILL)
             killed = True
             break
         time.sleep(0.02)

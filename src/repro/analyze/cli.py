@@ -14,31 +14,16 @@ is non-zero when any error-severity finding survives.
 from __future__ import annotations
 
 import argparse
-import sys
-import typing
 
 from .._script import add_script_arguments, captured_synthesis, run_script
-from ..lint.engine import (
-    LintConfig,
-    LintRuleError,
-    default_registry,
-    validate_suppressions,
-)
+from ..lint.cli import add_checker_arguments, config_from_args
 from ..lint.sarif import render_sarif
 from .passes import AnalysisReport, analyze_design
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     add_script_arguments(parser, "analyze")
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="treat warnings as errors",
-    )
-    parser.add_argument(
-        "--suppress", action="append", default=[], metavar="RULE[@GLOB]",
-        help="suppress a rule, optionally limited to paths matching the "
-             "glob (repeatable, comma-separable)",
-    )
+    add_checker_arguments(parser)
     parser.add_argument(
         "--format", choices=("table", "json", "sarif"), default="table",
         help="output format (default table)",
@@ -51,13 +36,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--schedule", action="store_true",
         help="dump the levelized evaluation schedule of every netlist",
     )
-
-
-def _split_suppressions(entries: typing.Iterable[str]) -> list[str]:
-    result: list[str] = []
-    for entry in entries:
-        result.extend(part for part in entry.split(",") if part.strip())
-    return result
 
 
 def _render_table(reports: list[AnalysisReport], show_schedule: bool) -> str:
@@ -86,20 +64,8 @@ def _render_table(reports: list[AnalysisReport], show_schedule: bool) -> str:
 
 
 def run(args: argparse.Namespace) -> int:
-    entries = _split_suppressions(args.suppress)
-    try:
-        unknown = validate_suppressions(entries)
-        if unknown:
-            known = sorted(r.rule_id for r in default_registry.rules())
-            print(
-                "error: unknown rule in --suppress: "
-                + ", ".join(repr(u) for u in unknown)
-                + f" (known ids: {', '.join(known)})"
-            )
-            return 2
-        config = LintConfig(suppress=entries, strict=args.strict)
-    except LintRuleError as exc:
-        print(f"error: {exc}")
+    config = config_from_args(args)
+    if config is None:
         return 2
 
     with captured_synthesis() as captured:
@@ -136,16 +102,3 @@ def run(args: argparse.Namespace) -> int:
         print(text)
     return 1 if any(r.has_errors for r in reports) else 0
 
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analyze",
-        description="netlist dataflow analysis over a script's synthesis "
-                    "runs",
-    )
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -2,8 +2,9 @@
 
 Lowers synthesized RTL netlists (``repro.synthesis.ir``) to generated
 straight-line Python and packages the result as a
-:class:`CompiledChannel`, a drop-in replacement for the interpreted
-:class:`~repro.synthesis.rtl_channel.RtlMethodChannel` selected with
+:class:`CompiledChannel`: the interpreted
+:class:`~repro.synthesis.rtl_channel.RtlMethodChannel` with its server
+core replaced by the generated code, selected with
 ``backend="compiled"`` on :class:`~repro.synthesis.tool.SynthesisConfig`
 (or ``PciPlatformConfig.backend``). The swap matrix's ``compiled`` level
 is the one place above the platform builder that selects it. The two

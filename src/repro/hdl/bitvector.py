@@ -112,10 +112,6 @@ class LogicVector:
         return self._x != 0
 
     @property
-    def has_z(self) -> bool:
-        return self._z != 0
-
-    @property
     def is_all_z(self) -> bool:
         return self._z == (1 << self._width) - 1
 

@@ -51,11 +51,48 @@ def _lint_target(
     raise ValueError(f"unknown lint target {target!r}")
 
 
-def _split_suppressions(entries: typing.Iterable[str]) -> list[str]:
+def split_suppressions(entries: typing.Iterable[str]) -> list[str]:
+    """``--suppress`` values split on commas, blank parts dropped."""
     result: list[str] = []
     for entry in entries:
         result.extend(part for part in entry.split(",") if part.strip())
     return result
+
+
+def add_checker_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--strict`` and ``--suppress``, shared by the static checkers."""
+    parser.add_argument(
+        "--strict", action="store_true",
+        help="treat warnings as errors",
+    )
+    parser.add_argument(
+        "--suppress", action="append", default=[], metavar="RULE[@GLOB]",
+        help="suppress a rule, optionally limited to paths matching the "
+             "glob (repeatable, comma-separable)",
+    )
+
+
+def config_from_args(args: argparse.Namespace) -> "LintConfig | None":
+    """The checker configuration ``--suppress``/``--strict`` ask for.
+
+    ``None``, after printing why, when an entry is malformed or names
+    an unknown rule; the command then exits 2.
+    """
+    entries = split_suppressions(args.suppress)
+    try:
+        unknown = validate_suppressions(entries)
+        if unknown:
+            known = sorted(r.rule_id for r in default_registry.rules())
+            print(
+                "error: unknown rule in --suppress: "
+                + ", ".join(repr(u) for u in unknown)
+                + f" (known ids: {', '.join(known)})"
+            )
+            return None
+        return LintConfig(suppress=entries, strict=args.strict)
+    except LintRuleError as exc:
+        print(f"error: {exc}")
+        return None
 
 
 def list_rules() -> str:
@@ -70,15 +107,7 @@ def list_rules() -> str:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="treat warnings as errors",
-    )
-    parser.add_argument(
-        "--suppress", action="append", default=[], metavar="RULE[@GLOB]",
-        help="suppress a rule, optionally limited to paths matching the "
-             "glob (repeatable, comma-separable)",
-    )
+    add_checker_arguments(parser)
     parser.add_argument(
         "--target", action="append", choices=TARGETS, default=None,
         help="platform(s) to lint (default: all)",
@@ -102,20 +131,8 @@ def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(list_rules())
         return 0
-    entries = _split_suppressions(args.suppress)
-    try:
-        unknown = validate_suppressions(entries)
-        if unknown:
-            known = sorted(r.rule_id for r in default_registry.rules())
-            print(
-                "error: unknown rule in --suppress: "
-                + ", ".join(repr(u) for u in unknown)
-                + f" (known ids: {', '.join(known)})"
-            )
-            return 2
-        config = LintConfig(suppress=entries, strict=args.strict)
-    except LintRuleError as exc:
-        print(f"error: {exc}")
+    config = config_from_args(args)
+    if config is None:
         return 2
     targets = args.target or list(TARGETS)
     failed = False
@@ -140,19 +157,3 @@ def run(args: argparse.Namespace) -> int:
         print(text)
     return 1 if failed else 0
 
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description="static design-rule checks over the example platforms",
-    )
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--commands", type=int, default=20)
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

@@ -29,7 +29,6 @@ from .ir import (
     Mux,
     Net,
     RtlModule,
-    UnOp,
     clog2,
     mux_chain,
 )

@@ -17,7 +17,6 @@ from ..errors import SynthesisError
 from .ir import (
     BinOp,
     Const,
-    Expr,
     Fsm,
     Mux,
     RtlModule,

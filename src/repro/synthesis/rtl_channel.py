@@ -35,6 +35,7 @@ from ..kernel.simulator import Simulator
 from ..osss.global_object import GlobalObject, SharedStateSpace
 from ..osss.request import MethodRequest
 from .arbiter_synth import RtlArbiterPolicy, lower_arbiter
+from .ir import RtlModule
 
 #: Server FSM state encodings (mirrored onto a trace signal).
 ST_IDLE, ST_EXEC, ST_DONE = 0, 1, 2
@@ -75,6 +76,10 @@ class RtlMethodChannel(Module):
     :param handles: the client handles, one hardware port set each.
     :param clk: the synthesis clock.
     :param body_cycles: clocks charged for each method-body execution.
+
+    :class:`~repro.compile.channel.CompiledChannel` subclasses it and
+    replaces only the server process and its core, what a client waits
+    on between DONE polls (``_done_wait``) and :meth:`bind_netlist`.
     """
 
     def __init__(
@@ -122,7 +127,18 @@ class RtlMethodChannel(Module):
         self.calls_serviced = 0
         self.idle_cycles = 0
         self.busy_cycles = 0
+        #: What a calling client waits on before each look at its DONE
+        #: wire: every rising edge here.
+        self._done_wait = [clk.posedge] * n
+        self._start_server()
+
+    def _start_server(self) -> None:
+        """Register the server process (a clocked thread here)."""
         self.thread(self._server, "server")
+
+    def bind_netlist(self, module: RtlModule) -> None:
+        """Attach the group's channel IR; this server models it
+        behaviourally and keeps nothing."""
 
     # -- client side -----------------------------------------------------------
 
@@ -173,7 +189,7 @@ class RtlMethodChannel(Module):
             if probes is not None:
                 probes.emit(METHOD_CALL, self.sim.time, self.space, request)
             while True:
-                yield self.clk.posedge
+                yield self._done_wait[index]
                 if self.done[index].read().to_int_default(0):
                     break
             outcome = self.result[index].read()
@@ -190,6 +206,49 @@ class RtlMethodChannel(Module):
         return outcome[0]
 
     # -- server side -------------------------------------------------------------
+    #
+    # The behavioural effects of the handshake, shared by every server
+    # core: each runs once per call, at the edge that grants, completes
+    # or retires it. Signal writes other than the result stay with the
+    # caller, which keeps its own order within the edge.
+
+    def _granted(self, current: MethodRequest) -> None:
+        current.grant_time = self.sim.time
+        self.space.stats.record_grant(current, self.sim.time)
+        probes = self.sim._probes
+        if probes is not None:
+            probes.emit(METHOD_GRANT, self.sim.time, self.space, current)
+
+    def _complete(self, grant: int, current: MethodRequest) -> None:
+        """Run the method body and drive its outcome onto ``result``."""
+        space = self.space
+        descriptor = space.descriptor(current.method)
+        try:
+            value = descriptor.invoke(space.state, *current.args, **current.kwargs)
+            outcome: tuple = (value, None)
+        except Exception as error:
+            current.error = error
+            outcome = (None, error)
+        current.result = outcome[0]
+        current.completed = True
+        current.complete_time = self.sim.time
+        space.stats.record_completion(current)
+        probes = self.sim._probes
+        if probes is not None:
+            probes.emit(METHOD_COMPLETE, self.sim.time, space, current)
+        self.result[grant].write(outcome)
+
+    def _retire(self, current: MethodRequest) -> None:
+        self.call_log.append(
+            ChannelCallRecord(
+                current.client,
+                current.method,
+                current.arrival_time,
+                current.grant_time or current.arrival_time,
+                self.sim.time,
+            )
+        )
+        self.calls_serviced += 1
 
     def _sample_requests(self) -> list["MethodRequest | None"]:
         sampled: list["MethodRequest | None"] = []
@@ -223,11 +282,7 @@ class RtlMethodChannel(Module):
                     grant = self.policy.select(eligible)
                     current = requests[grant]
                     assert current is not None
-                    current.grant_time = self.sim.time
-                    space.stats.record_grant(current, self.sim.time)
-                    probes = self.sim._probes
-                    if probes is not None:
-                        probes.emit(METHOD_GRANT, self.sim.time, space, current)
+                    self._granted(current)
                     self.gnt[grant].write(1)
                     self.grant_sig.write(grant)
                     exec_counter = self.body_cycles
@@ -237,41 +292,14 @@ class RtlMethodChannel(Module):
                 exec_counter -= 1
                 if exec_counter == 0:
                     assert current is not None
-                    descriptor = space.descriptor(current.method)
-                    try:
-                        value = descriptor.invoke(
-                            space.state, *current.args, **current.kwargs
-                        )
-                        outcome: tuple = (value, None)
-                    except Exception as error:
-                        current.error = error
-                        outcome = (None, error)
-                    current.result = outcome[0]
-                    current.completed = True
-                    current.complete_time = self.sim.time
-                    space.stats.record_completion(current)
-                    probes = self.sim._probes
-                    if probes is not None:
-                        probes.emit(
-                            METHOD_COMPLETE, self.sim.time, space, current
-                        )
-                    self.result[grant].write(outcome)
+                    self._complete(grant, current)
                     self.done[grant].write(1)
                     state = ST_DONE
             elif state == ST_DONE:
                 self.busy_cycles += 1
                 if not self.req[grant].read().to_int_default(0):
                     assert current is not None
-                    self.call_log.append(
-                        ChannelCallRecord(
-                            current.client,
-                            current.method,
-                            current.arrival_time,
-                            current.grant_time or current.arrival_time,
-                            self.sim.time,
-                        )
-                    )
-                    self.calls_serviced += 1
+                    self._retire(current)
                     self.done[grant].write(0)
                     self.gnt[grant].write(0)
                     current = None

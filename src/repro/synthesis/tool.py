@@ -44,10 +44,6 @@ class SynthesisConfig:
         of a netlist is generated once per process and looked up by its
         fingerprint afterwards, so this only matters the first time a
         design is synthesized.
-    :param lint_ir: check every generated netlist against the IR design
-        rules before HDL emission; error-severity findings abort
-        synthesis. A netlist that passed is not linted again in the
-        same process until the set of IR rules changes.
     :param backend: execution backend for the synthesized channels —
         ``"interpreted"`` (the generator-based RTL channel) or
         ``"compiled"`` (the channel IR lowered to generated Python by
@@ -59,7 +55,6 @@ class SynthesisConfig:
         body_cycles: int = 1,
         data_width: int = 32,
         emit_hdl: bool = True,
-        lint_ir: bool = True,
         backend: str = "interpreted",
     ) -> None:
         if body_cycles < 1:
@@ -73,7 +68,6 @@ class SynthesisConfig:
         self.body_cycles = body_cycles
         self.data_width = data_width
         self.emit_hdl = emit_hdl
-        self.lint_ir = lint_ir
         self.backend = backend
 
 
@@ -100,10 +94,6 @@ class SynthesizedGroup:
         self.vhdl = vhdl
         #: Netlists of polymorphic dispatches found in the object state.
         self.dispatch_irs = dispatch_irs or []
-
-    @property
-    def client_count(self) -> int:
-        return len(self.channel.clients)
 
 
 class SynthesisResult:
@@ -233,20 +223,15 @@ def synthesize_communication(
         group_name = f"chan{index}_" + root.path.replace(".", "_")
         # Stop the behavioural server; the RTL channel takes over.
         space.server.kill()
+        channel_cls = RtlMethodChannel
         if config.backend == "compiled":
             # Imported lazily: repro.compile imports synthesis and analyze.
             from ..compile.channel import CompiledChannel
 
-            channel: RtlMethodChannel = typing.cast(
-                RtlMethodChannel,
-                CompiledChannel(
-                    top, group_name, space, handles, clk, config.body_cycles
-                ),
-            )
-        else:
-            channel = RtlMethodChannel(
-                top, group_name, space, handles, clk, config.body_cycles
-            )
+            channel_cls = CompiledChannel
+        channel = channel_cls(
+            top, group_name, space, handles, clk, config.body_cycles
+        )
         for handle in handles:
             handle._root()._lowered = channel
         # Structural netlists.
@@ -262,11 +247,10 @@ def synthesize_communication(
             priorities,
             config.data_width,
         )
-        if config.backend == "compiled":
-            # The compiled backend *executes* the synthesized netlist:
-            # the channel IR is lowered to generated Python and bound as
-            # the channel's clocked core.
-            channel.bind_netlist(channel_ir)
+        # The compiled backend *executes* the synthesized netlist: the
+        # channel IR is lowered to generated Python and bound as the
+        # channel's clocked core.
+        channel.bind_netlist(channel_ir)
         object_ir = build_object_ir(
             f"obj{index}_" + type(space.state).__name__.lower(),
             space.state,
@@ -305,8 +289,7 @@ def synthesize_communication(
                 ("report", fingerprint), lambda: ModuleReport(module)
             )
             report.modules.append(copy.copy(row))
-        if config.lint_ir:
-            _lint_group_netlists(group_name, modules, fingerprints)
+        _lint_group_netlists(group_name, modules, fingerprints)
         verilog = vhdl = ""
         if config.emit_hdl:
             verilog = "\n\n".join(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analyze import cli
+from repro.__main__ import main
 
 CLEAN_SCRIPT = """\
 from repro.hdl import Clock, Module
@@ -37,6 +37,10 @@ sim = Simulator()
 """
 
 
+def analyze(argv):
+    return main(["analyze", *argv])
+
+
 @pytest.fixture
 def clean_script(tmp_path):
     path = tmp_path / "design.py"
@@ -46,25 +50,25 @@ def clean_script(tmp_path):
 
 class TestAnalyzeCli:
     def test_clean_script_table(self, clean_script, capsys):
-        assert cli.main([clean_script]) == 0
+        assert analyze([clean_script]) == 0
         out = capsys.readouterr().out
         assert "script ran" in out  # script stdout passes through
         assert "analyze run0: 2 module(s), clean" in out
 
     def test_quiet_script_swallows_stdout(self, clean_script, capsys):
-        assert cli.main(["--quiet-script", clean_script]) == 0
+        assert analyze(["--quiet-script", clean_script]) == 0
         out = capsys.readouterr().out
         assert "script ran" not in out
         assert "analyze run0" in out
 
     def test_schedule_dump(self, clean_script, capsys):
-        assert cli.main(["--quiet-script", "--schedule", clean_script]) == 0
+        assert analyze(["--quiet-script", "--schedule", clean_script]) == 0
         out = capsys.readouterr().out
         assert "schedule " in out and "level 0:" in out
 
     def test_json_format(self, clean_script, capsys):
-        assert cli.main(["--quiet-script", "--format", "json",
-                         clean_script]) == 0
+        assert analyze(["--quiet-script", "--format", "json",
+                        clean_script]) == 0
         payload = json.loads(capsys.readouterr().out)
         (report,) = payload
         assert report["label"] == "run0"
@@ -73,8 +77,8 @@ class TestAnalyzeCli:
 
     def test_sarif_to_file(self, clean_script, tmp_path, capsys):
         out_file = tmp_path / "report.sarif"
-        assert cli.main(["--quiet-script", "--format", "sarif",
-                         "--output", str(out_file), clean_script]) == 0
+        assert analyze(["--quiet-script", "--format", "sarif",
+                        "--output", str(out_file), clean_script]) == 0
         sarif = json.loads(out_file.read_text())
         assert sarif["version"] == "2.1.0"
         (run,) = sarif["runs"]
@@ -84,19 +88,19 @@ class TestAnalyzeCli:
         assert "analyze run0" in capsys.readouterr().out
 
     def test_unknown_suppression_rejected(self, clean_script, capsys):
-        assert cli.main(["--suppress", "BOGUS999", clean_script]) == 2
+        assert analyze(["--suppress", "BOGUS999", clean_script]) == 2
         assert "unknown rule in --suppress" in capsys.readouterr().out
 
     def test_comma_separated_suppressions_accepted(self, clean_script,
                                                    capsys):
-        assert cli.main(["--quiet-script", "--suppress", "NET002,FSM003",
-                         clean_script]) == 0
+        assert analyze(["--quiet-script", "--suppress", "NET002,FSM003",
+                        clean_script]) == 0
         assert "analyze run0" in capsys.readouterr().out
 
     def test_script_without_synthesis_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.py"
         path.write_text(NO_SYNTH_SCRIPT)
-        assert cli.main([str(path)]) == 2
+        assert analyze([str(path)]) == 2
         assert "performed no communication synthesis" in (
             capsys.readouterr().out
         )
@@ -108,5 +112,5 @@ class TestAnalyzeCli:
             + CLEAN_SCRIPT
             + "print('argv:', sys.argv[1:])\n"
         )
-        assert cli.main([str(path), "--depth", "3"]) == 0
+        assert analyze([str(path), "--depth", "3"]) == 0
         assert "argv: ['--depth', '3']" in capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CommandType, DataType, READ, WRITE
+from repro.core import CommandType, DataType, READ
 from repro.errors import ProtocolError
 from repro.pci import CMD_MEM_READ, CMD_MEM_WRITE
 

@@ -9,6 +9,7 @@ at all.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -429,6 +430,8 @@ print("COMPLETE")
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            # Its own process group, so one kill takes its pool workers too.
+            start_new_session=True,
         )
         # Wait for at least two fsync'd outcome lines, then kill -9.
         path = os.path.join(jdir, "journal.jsonl")
@@ -442,7 +445,7 @@ print("COMPLETE")
             except OSError:
                 lines = 0
             if lines >= 3:  # header + >= 2 outcomes
-                child.kill()
+                os.killpg(child.pid, signal.SIGKILL)
                 break
             time.sleep(0.02)
         child.wait(timeout=60)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ElaborationError
-from repro.hdl import IN, INOUT, Module, OUT
+from repro.hdl import Module
 from repro.kernel import NS, Simulator, Timeout
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analyze.cli import _split_suppressions
+from repro.lint.cli import split_suppressions
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import (
     LintConfig,
@@ -58,17 +58,17 @@ class TestSuppressionMatch:
 
 class TestSplitSuppressions:
     def test_comma_separated_entries(self):
-        assert _split_suppressions(["NET001,NET002", "FSM003"]) == [
+        assert split_suppressions(["NET001,NET002", "FSM003"]) == [
             "NET001", "NET002", "FSM003",
         ]
 
     def test_blank_fragments_dropped(self):
-        assert _split_suppressions(["NET001,,  ,NET002"]) == [
+        assert split_suppressions(["NET001,,  ,NET002"]) == [
             "NET001", "NET002",
         ]
 
     def test_glob_survives_splitting(self):
-        assert _split_suppressions(["NET002@m.*,FSM001"]) == [
+        assert split_suppressions(["NET002@m.*,FSM001"]) == [
             "NET002@m.*", "FSM001",
         ]
 

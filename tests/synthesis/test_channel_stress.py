@@ -1,7 +1,12 @@
-"""Stress and edge cases of the executable RT-level channel."""
+"""Stress and edge cases of the executable RT-level channel.
+
+Every case runs on both synthesis backends: the ``...Compiled``
+subclasses repeat their base class with ``backend = "compiled"``.
+"""
 
 import pytest
 
+from repro.compile import CompiledChannel
 from repro.errors import SynthesisError
 from repro.hdl import Clock, Module
 from repro.kernel import MS, NS, Simulator
@@ -27,7 +32,7 @@ class Tally:
         return self.total
 
 
-def _stress(n_clients, calls_each, arbiter=None):
+def _stress(n_clients, calls_each, backend, arbiter=None):
     sim = Simulator()
     clock = Clock(sim, "clock", period=CLOCK)
     handles = []
@@ -38,8 +43,9 @@ def _stress(n_clients, calls_each, arbiter=None):
                          arbiter=arbiter if i == 0 else None)
         )
     connect(*handles)
-    result = synthesize_communication(sim, clock.clk,
-                                      SynthesisConfig(emit_hdl=False))
+    result = synthesize_communication(
+        sim, clock.clk, SynthesisConfig(emit_hdl=False, backend=backend)
+    )
     channel = result.groups[0].channel
     finished = [0]
 
@@ -59,15 +65,19 @@ def _stress(n_clients, calls_each, arbiter=None):
 
 
 class TestStress:
+    backend = "interpreted"
+
     def test_twelve_clients(self):
-        state, channel, finished = _stress(12, 10)
+        state, channel, finished = _stress(12, 10, self.backend)
         assert finished == 12
         assert state.total == 120
         assert all(count == 10 for count in state.per_client.values())
         assert channel.calls_serviced == 120
 
     def test_round_robin_twelve_clients(self):
-        state, channel, finished = _stress(12, 5, arbiter=RoundRobinArbiter())
+        state, channel, finished = _stress(
+            12, 5, self.backend, arbiter=RoundRobinArbiter()
+        )
         assert state.total == 60
         # Rotation keeps worst-case waits bounded to roughly one lap.
         lap = 12 * 5  # clients x (handshake cycles per call)
@@ -75,13 +85,27 @@ class TestStress:
         assert max(waits) < lap * 2
 
     def test_busy_idle_accounting(self):
-        __, channel, ___ = _stress(2, 5)
+        __, channel, ___ = _stress(2, 5, self.backend)
         assert channel.busy_cycles > 0
         assert channel.idle_cycles > 0
         assert channel.calls_serviced == 10
 
 
+class TestStressCompiled(TestStress):
+    backend = "compiled"
+
+    def test_channel_runs_the_compiled_core(self):
+        __, channel, ___ = _stress(2, 1, self.backend)
+        assert isinstance(channel, CompiledChannel)
+        assert channel.calls_serviced == 2
+
+
 class TestEdgeCases:
+    backend = "interpreted"
+
+    def _config(self):
+        return SynthesisConfig(emit_hdl=False, backend=self.backend)
+
     def test_guard_dependent_on_other_clients(self):
         """A guard that only becomes true through others' calls."""
         sim = Simulator()
@@ -91,8 +115,7 @@ class TestEdgeCases:
         producer = GlobalObject(producer_host, "t", Tally)
         waiter = GlobalObject(waiter_host, "t", Tally)
         connect(producer, waiter)
-        synthesize_communication(sim, clock.clk,
-                                 SynthesisConfig(emit_hdl=False))
+        synthesize_communication(sim, clock.clk, self._config())
         log = []
 
         def waiting_client():
@@ -114,8 +137,7 @@ class TestEdgeCases:
         clock = Clock(sim, "clock", period=CLOCK)
         host = Module(sim, "m")
         handle = GlobalObject(host, "t", Tally)
-        synthesize_communication(sim, clock.clk,
-                                 SynthesisConfig(emit_hdl=False))
+        synthesize_communication(sim, clock.clk, self._config())
 
         def caller():
             yield from handle.call("does_not_exist")
@@ -132,7 +154,7 @@ class TestEdgeCases:
         handle_a = GlobalObject(host_a, "t", Tally)
         handle_b = GlobalObject(host_b, "t", Tally)  # separate group
         result = synthesize_communication(
-            sim, clock.clk, SynthesisConfig(emit_hdl=False),
+            sim, clock.clk, self._config(),
             only=[handle_a],
         )
         channel = result.groups[0].channel
@@ -155,8 +177,7 @@ class TestEdgeCases:
         clock = Clock(sim, "clock", period=CLOCK)
         host = Module(sim, "m")
         handle = GlobalObject(host, "t", Fragile)
-        synthesize_communication(sim, clock.clk,
-                                 SynthesisConfig(emit_hdl=False))
+        synthesize_communication(sim, clock.clk, self._config())
         outcomes = []
 
         def caller():
@@ -171,3 +192,7 @@ class TestEdgeCases:
         sim.spawn(caller, "c")
         sim.run(10 * MS)
         assert outcomes == ["raised", 1]
+
+
+class TestEdgeCasesCompiled(TestEdgeCases):
+    backend = "compiled"

@@ -45,19 +45,23 @@ class Host(Module):
         self.obj = GlobalObject(self, "obj", TokenStore, arbiter=arbiter)
 
 
-def _build(n_hosts=2, arbiter=None, body_cycles=1):
+def _build(n_hosts=2, arbiter=None, body_cycles=1, backend="interpreted"):
     sim = Simulator()
     clock = Clock(sim, "clock", period=CLOCK_PERIOD)
     hosts = [Host(sim, f"h{i}", arbiter if i == 0 else None)
              for i in range(n_hosts)]
     connect(*[h.obj for h in hosts])
     result = synthesize_communication(
-        sim, clock.clk, SynthesisConfig(body_cycles=body_cycles, emit_hdl=False)
+        sim, clock.clk,
+        SynthesisConfig(body_cycles=body_cycles, emit_hdl=False,
+                        backend=backend),
     )
     return sim, hosts, result.groups[0].channel
 
 
 class TestLoweredCalls:
+    backend = "interpreted"
+
     def test_basic_call_roundtrip(self):
         sim, hosts, channel = _build()
         results = []
@@ -155,7 +159,7 @@ class TestLoweredCalls:
         assert run_with(8) > run_with(1)
 
     def test_timeout_not_supported(self):
-        sim, hosts, __ = _build()
+        sim, hosts, __ = _build(backend=self.backend)
 
         def caller():
             yield from hosts[0].obj.call("deposit", 1, timeout=100 * NS)
@@ -165,7 +169,7 @@ class TestLoweredCalls:
             sim.run(1 * MS)
 
     def test_try_call_not_supported(self):
-        sim, hosts, __ = _build()
+        sim, hosts, __ = _build(backend=self.backend)
         with pytest.raises(SimulationError):
             hosts[0].obj.try_call("deposit", 1)
 
@@ -181,6 +185,15 @@ class TestLoweredCalls:
         stats = hosts[0].obj.stats
         assert stats.total_completed == 2
         assert channel.mean_call_cycles(CLOCK_PERIOD) > 0
+
+
+class TestLoweredCallRefusalsCompiled:
+    """The two refusals of :class:`TestLoweredCalls` on the compiled
+    backend (the other lowered-call cases are too slow to repeat)."""
+
+    backend = "compiled"
+    test_timeout_not_supported = TestLoweredCalls.test_timeout_not_supported
+    test_try_call_not_supported = TestLoweredCalls.test_try_call_not_supported
 
 
 class TestArbitrationPolicies:
